@@ -22,6 +22,7 @@
 
 use std::time::{Duration, Instant};
 
+use sparse_bench::run_matrix_bare;
 use sparse_engine::{Engine, EngineConfig};
 use sparse_formats::{descriptors, AnyMatrix, CooMatrix};
 
@@ -143,9 +144,10 @@ fn main() {
     //    *instrumented* pipeline — stage timers, span emission, the
     //    event ring, per-pair histograms — with the default
     //    `NoopSubscriber`. That whole layer must stay invisible next to
-    //    the uninstrumented baseline (validation + raw execution),
-    //    i.e. what the same warm conversion cost before the
-    //    observability layer existed.
+    //    the uninstrumented baseline: validation plus the same stats-free
+    //    interpreter with no timers or spans, i.e. what the same warm
+    //    conversion costs without the observability layer. Both sides
+    //    skip `ExecStats`, so the gate compares like with like.
     let observed = median(
         (0..SAMPLES * 3)
             .map(|_| time(|| engine.convert(&src, &dst, &input).unwrap()))
@@ -156,13 +158,13 @@ fn main() {
             .map(|_| {
                 time(|| {
                     sparse_formats::validate_matrix(&plan.synth.src, (&input).into()).unwrap();
-                    plan.run_matrix_unchecked(&input).unwrap()
+                    run_matrix_bare(&plan, &input)
                 })
             })
             .collect(),
     );
     let obs_overhead = observed.as_secs_f64() / baseline.as_secs_f64() - 1.0;
-    eprintln!("  obs: baseline (validate+run)  {baseline:>12.2?}");
+    eprintln!("  obs: baseline (validate+bare) {baseline:>12.2?}");
     eprintln!(
         "  obs: instrumented convert     {observed:>12.2?}   overhead = {:+.2}%",
         obs_overhead * 100.0

@@ -3,7 +3,8 @@
 //! `BENCH_4.json` (per-pair ns/nnz for both backends plus the speedup).
 //! Also gates the observability layer: the instrumented interpreter path
 //! with the default `NoopSubscriber` must cost <5% over the
-//! uninstrumented one, summed across all pairs.
+//! uninstrumented one, summed across all pairs. Both sides run the
+//! stats-free interpreter, so the gate compares like with like.
 //!
 //! Usage:
 //!
@@ -16,7 +17,7 @@
 
 use std::fmt::Write as _;
 
-use sparse_bench::time_min;
+use sparse_bench::{run_matrix_bare, run_tensor_bare, time_min};
 use sparse_formats::descriptors;
 use sparse_formats::{
     AnyMatrix, AnyTensor, CooMatrix, CscMatrix, CsrMatrix, FormatDescriptor, MortonCooMatrix,
@@ -126,10 +127,10 @@ fn main() {
     let mut rows: Vec<Row> = Vec::new();
     // The interpreter timings below run through the *instrumented* path
     // (`run_matrix_quiet` = `run_matrix_observed` + `NoopSubscriber`);
-    // the totals pin its overhead against the uninstrumented
-    // stats-collecting path across every pair.
+    // the totals pin its overhead against the uninstrumented stats-free
+    // path (`run_matrix_bare`) across every pair.
     let mut quiet_total = 0.0f64;
-    let mut unchecked_total = 0.0f64;
+    let mut bare_total = 0.0f64;
     for (kind, src, dst) in matrix_pairs() {
         let pair = format!("{} -> {}", src.name, dst.name);
         let conv = Conversion::new(&src, &dst, SynthesisOptions::default())
@@ -150,11 +151,11 @@ fn main() {
         let interp = time_min(args.reps, || {
             conv.run_matrix_quiet(input.as_ref()).unwrap();
         });
-        let unchecked = time_min(args.reps, || {
-            conv.run_matrix_unchecked(input.as_ref()).unwrap();
+        let bare = time_min(args.reps, || {
+            run_matrix_bare(&conv, &input);
         });
         quiet_total += interp;
-        unchecked_total += unchecked;
+        bare_total += bare;
         let kernel = time_min(args.reps, || {
             conv.run_matrix_kernel(input.as_ref()).unwrap().unwrap();
         });
@@ -192,11 +193,11 @@ fn main() {
         let interp = time_min(args.reps, || {
             conv.run_tensor_quiet(input.as_ref()).unwrap();
         });
-        let unchecked = time_min(args.reps, || {
-            conv.run_tensor_unchecked(input.as_ref()).unwrap();
+        let bare = time_min(args.reps, || {
+            run_tensor_bare(&conv, &input);
         });
         quiet_total += interp;
-        unchecked_total += unchecked;
+        bare_total += bare;
         let kernel = time_min(args.reps, || {
             conv.run_tensor_kernel(input.as_ref()).unwrap().unwrap();
         });
@@ -221,12 +222,12 @@ fn main() {
 
     // Observability gate: summed across every pair, the instrumented
     // interpreter (default `NoopSubscriber`) must sit within 5% of the
-    // uninstrumented stats-collecting path.
-    let obs_overhead = quiet_total / unchecked_total - 1.0;
+    // uninstrumented path; neither side collects `ExecStats`.
+    let obs_overhead = quiet_total / bare_total - 1.0;
     eprintln!(
-        "bench4: instrumented interp {:.3}s vs unchecked {:.3}s, overhead {:+.2}%",
+        "bench4: instrumented interp {:.3}s vs bare {:.3}s, overhead {:+.2}%",
         quiet_total,
-        unchecked_total,
+        bare_total,
         obs_overhead * 100.0
     );
     assert!(

@@ -24,9 +24,12 @@
 use std::time::Instant;
 
 use sparse_baselines::{fig2, hicoo_morton_sort3, Library};
-use sparse_formats::{descriptors, Coo3Tensor, CooMatrix, CsrMatrix};
+use sparse_formats::{descriptors, AnyMatrix, AnyTensor, Coo3Tensor, CooMatrix, CsrMatrix};
 use sparse_matgen::suite::{table3_suite, table4_suite, MatrixSpec};
-use sparse_synthesis::{run as synth_run, Conversion, SynthesisOptions};
+use sparse_synthesis::{
+    bind_matrix, bind_tensor, extract_matrix, extract_tensor, run as synth_run, Conversion,
+    SynthesisOptions,
+};
 use spf_codegen::runtime::RtEnv;
 
 /// One matrix row of a Figure-2 style experiment (times in seconds).
@@ -64,6 +67,36 @@ pub fn time_min(reps: usize, mut f: impl FnMut()) -> f64 {
         best = best.min(t0.elapsed().as_secs_f64());
     }
     best
+}
+
+/// Runs a matrix conversion with no instrumentation at all: bind, the
+/// stats-free interpreter (`execute_env_quiet`) and extract, with no stage
+/// timers or spans. The baseline the observability overhead gates compare
+/// the instrumented quiet path against, so that both sides skip
+/// `ExecStats`.
+///
+/// # Panics
+/// Panics when the conversion fails.
+pub fn run_matrix_bare(conv: &Conversion, m: &AnyMatrix) -> AnyMatrix {
+    let (nr, nc) = m.dims();
+    let mut env = RtEnv::new();
+    bind_matrix(&mut env, &conv.synth.src, m.into()).expect("source binds");
+    conv.execute_env_quiet(&mut env)
+        .expect("synthesized conversion runs");
+    extract_matrix(&mut env, &conv.synth.dst, nr, nc).expect("destination extracts")
+}
+
+/// Tensor analogue of [`run_matrix_bare`].
+///
+/// # Panics
+/// Panics when the conversion fails.
+pub fn run_tensor_bare(conv: &Conversion, t: &AnyTensor) -> AnyTensor {
+    let dims = t.dims();
+    let mut env = RtEnv::new();
+    bind_tensor(&mut env, &conv.synth.src, t.into()).expect("source binds");
+    conv.execute_env_quiet(&mut env)
+        .expect("synthesized conversion runs");
+    extract_tensor(&mut env, &conv.synth.dst, dims).expect("destination extracts")
 }
 
 /// Geometric mean of `xs` (empty input gives NaN).

@@ -305,7 +305,7 @@ pub enum Stmt {
         args: Vec<Expr>,
     },
     /// Finalize an ordered list: sort by its comparator (deduplicating
-    /// when the list was declared unique) and build the rank index.
+    /// when the list was declared unique) and record every key's rank.
     ListFinalize {
         /// List name.
         list: String,

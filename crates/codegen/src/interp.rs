@@ -95,6 +95,10 @@ pub struct ExecStats {
     pub loop_iterations: u64,
     /// Total statements executed (loops counted once per entry).
     pub statements: u64,
+    /// `P.rank` queries answered from an ordered list's key index rather
+    /// than its ordinal table, i.e. queries that did not arrive in
+    /// insertion order. Zero for every catalog plan.
+    pub rank_misses: u64,
 }
 
 #[derive(Debug, Clone)]
@@ -414,9 +418,13 @@ impl<'p, 'a, const STATS: bool> Machine<'p, 'a, STATS> {
                 let l = self.lists[*list as usize].as_ref().ok_or_else(|| {
                     ExecError::UnboundList(self.prog.lists[*list as usize].clone())
                 })?;
-                let r = l.rank(&key);
+                let r = l.rank_traced(&key);
                 self.key_buf = key;
-                r?
+                let (rank, hit) = r?;
+                if STATS && !hit {
+                    self.stats.rank_misses += 1;
+                }
+                rank
             }
             CExpr::ListLen(list) => {
                 let l = self.lists[*list as usize].as_ref().ok_or_else(|| {
@@ -847,10 +855,17 @@ mod tests {
         assert_eq!(env.ufs["out"], vec![9]);
     }
 
-    #[test]
-    fn list_insert_finalize_rank_roundtrip() {
+    /// Inserts `(row(n), col(n))` for `n` in `0..4` into a lexicographic
+    /// list, then writes `perm[q] = P.rank(row(q), col(q))`, visiting `q`
+    /// in insertion order or in reverse.
+    fn rank_roundtrip_program(reverse: bool) -> Program {
         let mut slots = SlotAlloc::new();
         let n = slots.alloc("n");
+        let q = if reverse {
+            Expr::sub(Expr::Const(3), var("n", n))
+        } else {
+            var("n", n)
+        };
         let stmts = vec![
             Stmt::For {
                 var: "n".into(),
@@ -874,26 +889,47 @@ mod tests {
                 hi: Expr::Const(4),
                 body: vec![Stmt::UfWrite {
                     uf: "perm".into(),
-                    idx: var("n", n),
+                    idx: q.clone(),
                     value: Expr::ListRank {
                         list: "P".into(),
-                        args: vec![
-                            Expr::uf_read("row", var("n", n)),
-                            Expr::uf_read("col", var("n", n)),
-                        ],
+                        args: vec![Expr::uf_read("row", q.clone()), Expr::uf_read("col", q)],
                     },
                 }],
             },
         ];
-        let prog = compile(&stmts, &slots);
+        compile(&stmts, &slots)
+    }
+
+    fn rank_roundtrip_env() -> RtEnv<'static> {
         // Column-major-ish input; lexicographic list sorts to row-major.
-        let mut env = RtEnv::new()
+        RtEnv::new()
             .with_uf("row", vec![1, 0, 1, 0])
             .with_uf("col", vec![0, 1, 1, 0])
-            .with_list("P", OrderedList::new(2, ListOrder::Lexicographic, false));
-        execute(&prog, &mut env).unwrap();
+            .with_list("P", OrderedList::new(2, ListOrder::Lexicographic, false))
+    }
+
+    #[test]
+    fn list_insert_finalize_rank_roundtrip() {
+        let mut env = rank_roundtrip_env();
+        let stats = execute(&rank_roundtrip_program(false), &mut env).unwrap();
         // (1,0)->2 (0,1)->1 (1,1)->3 (0,0)->0
         assert_eq!(env.ufs["perm"], vec![2, 1, 3, 0]);
+        // Queries in insertion order are all answered by the ordinal table.
+        assert_eq!(stats.rank_misses, 0);
+    }
+
+    #[test]
+    fn out_of_order_rank_queries_are_counted_and_still_correct() {
+        let prog = rank_roundtrip_program(true);
+        let mut env = rank_roundtrip_env();
+        let stats = execute(&prog, &mut env).unwrap();
+        assert_eq!(env.ufs["perm"], vec![2, 1, 3, 0]);
+        // Query 3 misses (the cursor expects ordinal 0); the index moves
+        // the cursor past ordinal 3, so query 2 misses too, and so on.
+        assert_eq!(stats.rank_misses, 4);
+        let mut quiet = rank_roundtrip_env();
+        execute_quiet(&prog, &mut quiet).unwrap();
+        assert_eq!(quiet.ufs["perm"], vec![2, 1, 3, 0]);
     }
 
     #[test]

@@ -55,6 +55,7 @@ pub mod cemit;
 pub mod cruntime;
 pub mod interp;
 pub mod kernels;
+mod keysort;
 pub mod morton;
 pub mod runtime;
 pub mod scan;

@@ -34,26 +34,30 @@ fn less_msb(x: u64, y: u64) -> bool {
 /// coordinates (debug builds only for the sign check).
 pub fn morton_cmp(a: &[i64], b: &[i64]) -> Ordering {
     assert_eq!(a.len(), b.len(), "morton_cmp rank mismatch");
+    morton_cmp_by(a.len(), |d| (a[d], b[d]))
+}
+
+/// [`morton_cmp`] over coordinate pairs read through `pair(d) = (a_d, b_d)`,
+/// so callers holding columnar or row-major storage compare without
+/// gathering tuples.
+pub(crate) fn morton_cmp_by(rank: usize, pair: impl Fn(usize) -> (i64, i64)) -> Ordering {
     // Find the dimension whose coordinate pair differs in the highest bit;
     // the tuple order is decided by that dimension. On msb ties the later
     // dimension wins, matching `morton_encode` which interleaves dimension
     // `d` at bit `b * rank + d` (later dimensions are more significant
     // within each bit group).
-    let mut top_dim = 0usize;
+    let mut top = (0i64, 0i64);
     let mut top_xor = 0u64;
-    for (d, (&x, &y)) in a.iter().zip(b.iter()).enumerate() {
+    for d in 0..rank {
+        let (x, y) = pair(d);
         debug_assert!(x >= 0 && y >= 0, "morton coordinates must be non-negative");
         let xor = (x as u64) ^ (y as u64);
         if xor != 0 && !less_msb(xor, top_xor) {
-            top_dim = d;
+            top = (x, y);
             top_xor = xor;
         }
     }
-    if top_xor == 0 {
-        Ordering::Equal
-    } else {
-        a[top_dim].cmp(&b[top_dim])
-    }
+    top.0.cmp(&top.1)
 }
 
 /// Interleaves the low `bits` bits of each coordinate into a single Morton
@@ -67,17 +71,30 @@ pub fn morton_cmp(a: &[i64], b: &[i64]) -> Ordering {
 pub fn morton_encode(coords: &[i64], bits: u32) -> u128 {
     let rank = coords.len() as u32;
     assert!(rank * bits <= 128, "morton code would exceed 128 bits");
-    let mut code: u128 = 0;
-    for (d, &c) in coords.iter().enumerate() {
-        assert!(c >= 0, "morton coordinates must be non-negative");
-        assert!(
-            bits == 64 || (c as u128) < (1u128 << bits),
-            "coordinate {c} does not fit in {bits} bits"
-        );
-        let c = c as u128;
-        for b in 0..bits {
-            code |= ((c >> b) & 1) << (b * rank + d as u32);
-        }
+    coords.iter().enumerate().fold(0, |code, (d, &c)| {
+        code | morton_spread(c, bits, rank, d as u32)
+    })
+}
+
+/// The bits of coordinate `c` placed at their Morton positions for
+/// dimension `d` of a rank-`rank` code: bit `b` lands at `b * rank + d`.
+/// OR-ing the spreads of every dimension gives [`morton_encode`].
+///
+/// # Panics
+/// Panics when `c` is negative or does not fit in `bits` bits.
+#[inline]
+pub(crate) fn morton_spread(c: i64, bits: u32, rank: u32, d: u32) -> u128 {
+    assert!(c >= 0, "morton coordinates must be non-negative");
+    assert!(
+        bits >= 64 || (c as u64) >> bits == 0,
+        "coordinate {c} does not fit in {bits} bits"
+    );
+    let mut rest = c as u64;
+    let mut code = 0u128;
+    while rest != 0 {
+        let b = rest.trailing_zeros();
+        code |= 1u128 << (b * rank + d);
+        rest &= rest - 1;
     }
     code
 }

@@ -14,62 +14,31 @@
 //! [`OrderedList`] implements that abstraction: keys are inserted in source
 //! order, `finalize` sorts them with the declared comparator (stably, so
 //! insertion order breaks ties), and `rank` retrieves the re-ordered
-//! position of a nonzero — the permutation `P`. The paper notes that rank
-//! retrieval "incurs overhead"; this implementation reproduces that cost
-//! profile with a hash-map rank index.
+//! position of a nonzero — the permutation `P`. The paper attributes its
+//! gap to HiCOO to this rank retrieval. Here a rank is an array read:
+//! `finalize` records the rank of every insertion ordinal, and `rank`
+//! answers from that table while queries arrive in insertion order, which
+//! is how every synthesized plan walks its insert nest again. Any other
+//! query goes through a hash index built on the first such query.
 
 use std::borrow::Cow;
 use std::cmp::Ordering;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
+use std::sync::{Arc, OnceLock};
 
-use crate::morton::morton_cmp;
-
-/// A fast non-cryptographic hasher (Fx-style multiply-xor) for the rank
-/// index. Rank retrieval is on the inspector's per-nonzero hot path; the
-/// default SipHash would dominate the conversion cost and distort the
-/// comparison the paper makes (its permutation uses plain array
-/// machinery).
-#[derive(Default)]
-pub struct FxHasher {
-    hash: u64,
-}
-
-const FX_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-
-impl Hasher for FxHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.hash
-    }
-
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.hash = (self.hash.rotate_left(5) ^ b as u64).wrapping_mul(FX_SEED);
-        }
-    }
-
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        self.hash = (self.hash.rotate_left(5) ^ v).wrapping_mul(FX_SEED);
-    }
-
-    #[inline]
-    fn write_i64(&mut self, v: i64) {
-        self.write_u64(v as u64);
-    }
-}
-
-type FxBuild = BuildHasherDefault<FxHasher>;
+use crate::keysort::{sort_perm, PackedOrder};
 
 /// Maximum key width supported by [`OrderedList`].
 pub const MAX_KEY_WIDTH: usize = 4;
 
-/// Fixed-width key buffer used by the rank index.
+/// Fixed-width key buffer used by the key index.
 type KeyBuf = [i64; MAX_KEY_WIDTH];
+
+/// Maps each distinct key to one insertion ordinal that holds it.
+type KeyIndex = HashMap<KeyBuf, usize>;
 
 fn key_buf(key: &[i64]) -> KeyBuf {
     let mut buf = [i64::MIN; MAX_KEY_WIDTH];
@@ -101,17 +70,6 @@ impl fmt::Debug for ListOrder {
             ListOrder::Lexicographic => write!(f, "Lexicographic"),
             ListOrder::Morton => write!(f, "Morton"),
             ListOrder::Custom(_) => write!(f, "Custom(..)"),
-        }
-    }
-}
-
-impl ListOrder {
-    fn cmp(&self, a: &[i64], b: &[i64]) -> Ordering {
-        match self {
-            ListOrder::Insertion => Ordering::Equal,
-            ListOrder::Lexicographic => a.cmp(b),
-            ListOrder::Morton => morton_cmp(a, b),
-            ListOrder::Custom(f) => f(a, b),
         }
     }
 }
@@ -154,14 +112,46 @@ impl std::error::Error for ListError {}
 
 /// The permutation abstraction: an insert-then-sort list of integer keys
 /// with rank retrieval.
-#[derive(Debug, Clone)]
+///
+/// Keys stay in insertion order; `finalize` computes the sorted order and
+/// the rank of every insertion ordinal. `rank` keeps a cursor on the next
+/// ordinal and answers with one array read whenever the queried key is the
+/// one inserted there. Other queries are answered from a key index built on
+/// the first of them, and move the cursor after the ordinal they found.
+#[derive(Debug)]
 pub struct OrderedList {
     width: usize,
     unique: bool,
     order: ListOrder,
-    rows: Vec<i64>,
+    /// Keys in insertion order, `width` columns per ordinal.
+    keys: Vec<i64>,
     finalized: bool,
-    ranks: HashMap<KeyBuf, i64, FxBuild>,
+    /// Insertion ordinal of the key at each sorted position (one per
+    /// distinct key when `unique`).
+    sorted: Vec<usize>,
+    /// Rank of each insertion ordinal.
+    ranks: Vec<i64>,
+    /// The ordinal the next in-order `rank` query is expected to hit. A
+    /// hint only: every use re-checks the key, and it guards no other
+    /// data, so `Relaxed` suffices.
+    cursor: AtomicUsize,
+    index: OnceLock<KeyIndex>,
+}
+
+impl Clone for OrderedList {
+    fn clone(&self) -> Self {
+        OrderedList {
+            width: self.width,
+            unique: self.unique,
+            order: self.order.clone(),
+            keys: self.keys.clone(),
+            finalized: self.finalized,
+            sorted: self.sorted.clone(),
+            ranks: self.ranks.clone(),
+            cursor: AtomicUsize::new(self.cursor.load(AtomicOrdering::Relaxed)),
+            index: self.index.clone(),
+        }
+    }
 }
 
 impl OrderedList {
@@ -180,9 +170,12 @@ impl OrderedList {
             width,
             unique,
             order,
-            rows: Vec::new(),
+            keys: Vec::new(),
             finalized: false,
-            ranks: HashMap::default(),
+            sorted: Vec::new(),
+            ranks: Vec::new(),
+            cursor: AtomicUsize::new(0),
+            index: OnceLock::new(),
         }
     }
 
@@ -208,89 +201,120 @@ impl OrderedList {
         if key.len() != self.width {
             return Err(ListError::WidthMismatch { expect: self.width, got: key.len() });
         }
-        self.rows.extend_from_slice(key);
+        self.keys.extend_from_slice(key);
         Ok(())
     }
 
+    fn key(&self, ordinal: usize) -> &[i64] {
+        &self.keys[ordinal * self.width..(ordinal + 1) * self.width]
+    }
+
     /// Sorts the keys by the declared comparator (stable, so insertion
-    /// order breaks ties), optionally deduplicates, and builds the rank
-    /// index. Idempotent once called.
+    /// order breaks ties), optionally deduplicates, and records the rank of
+    /// every inserted key. Idempotent once called.
+    ///
+    /// Without `unique`, equal keys all take the rank of the first of them
+    /// in sorted order; with it, they share one rank and one sorted
+    /// position.
     pub fn finalize(&mut self) {
         if self.finalized {
             return;
         }
         let w = self.width;
-        let n = self.rows.len() / w;
-        let mut idx: Vec<usize> = (0..n).collect();
-        match &self.order {
-            ListOrder::Insertion => {}
-            ListOrder::Morton => {
-                // Precompute interleaved keys when they fit in 128 bits —
-                // the sort then compares plain integers instead of
-                // invoking the bitwise comparator per comparison.
-                let max = self.rows.iter().copied().max().unwrap_or(0).max(0);
-                let bits = crate::morton::bits_for_extent(max as usize + 1);
-                if (w as u32) * bits <= 128 {
-                    let mut keyed: Vec<(u128, u32)> = idx
-                        .iter()
-                        .map(|&r| {
-                            (
-                                crate::morton::morton_encode(
-                                    &self.rows[r * w..r * w + w],
-                                    bits,
-                                ),
-                                r as u32,
-                            )
-                        })
-                        .collect();
-                    keyed.sort_by_key(|&(code, r)| (code, r));
-                    idx = keyed.into_iter().map(|(_, r)| r as usize).collect();
-                } else {
-                    idx.sort_by(|&a, &b| {
-                        morton_cmp(&self.rows[a * w..a * w + w], &self.rows[b * w..b * w + w])
-                    });
-                }
+        let n = self.keys.len() / w;
+        let keys = &self.keys;
+        let packed = |order| sort_perm(n, w, order, |p, d| keys[p * w + d]);
+        let perm = match &self.order {
+            ListOrder::Insertion => (0..n).collect(),
+            ListOrder::Lexicographic => packed(PackedOrder::Lexicographic),
+            ListOrder::Morton => packed(PackedOrder::Morton),
+            ListOrder::Custom(f) => {
+                let mut perm: Vec<usize> = (0..n).collect();
+                perm.sort_by(|&a, &b| f(self.key(a), self.key(b)));
+                perm
             }
-            order => {
-                idx.sort_by(|&a, &b| {
-                    order.cmp(&self.rows[a * w..a * w + w], &self.rows[b * w..b * w + w])
-                });
-            }
-        }
-        let mut sorted = Vec::with_capacity(self.rows.len());
-        let mut ranks: HashMap<KeyBuf, i64, FxBuild> =
-            HashMap::with_capacity_and_hasher(n, FxBuild::default());
-        let mut rank: i64 = 0;
-        for &r in &idx {
-            let row = &self.rows[r * w..r * w + w];
-            let buf = key_buf(row);
-            if self.unique {
-                if let std::collections::hash_map::Entry::Vacant(e) = ranks.entry(buf) {
-                    e.insert(rank);
-                    sorted.extend_from_slice(row);
-                    rank += 1;
-                }
-            } else {
-                // First occurrence wins; duplicates (which sorted formats
-                // do not produce) keep the earliest rank.
-                ranks.entry(buf).or_insert(rank);
-                sorted.extend_from_slice(row);
-                rank += 1;
-            }
-        }
-        self.rows = sorted;
-        self.ranks = ranks;
+        };
+        self.rank_sorted(perm);
         self.finalized = true;
+    }
+
+    /// Fills `ranks` and `sorted` from the sorted ordinals `perm`. Each
+    /// group of equal keys takes its rank from the group's first entry in
+    /// sorted order.
+    fn rank_sorted(&mut self, perm: Vec<usize>) {
+        self.ranks = vec![0; perm.len()];
+        if matches!(self.order, ListOrder::Lexicographic | ListOrder::Morton) {
+            self.rank_runs(perm);
+        } else {
+            self.rank_hashed(perm);
+        }
+    }
+
+    /// [`OrderedList::rank_sorted`] for orders in which equal keys are
+    /// adjacent (lexicographic, Morton).
+    fn rank_runs(&mut self, perm: Vec<usize>) {
+        let mut run_rank = 0i64;
+        let mut prev: Option<usize> = None;
+        for (pos, &p) in perm.iter().enumerate() {
+            let same = prev.is_some_and(|q| self.key(q) == self.key(p));
+            if !same {
+                run_rank = if self.unique {
+                    self.sorted.len() as i64
+                } else {
+                    pos as i64
+                };
+                if self.unique {
+                    self.sorted.push(p);
+                }
+            }
+            self.ranks[p] = run_rank;
+            prev = Some(p);
+        }
+        if !self.unique {
+            self.sorted = perm;
+        }
+    }
+
+    /// [`OrderedList::rank_sorted`] for orders in which equal keys need
+    /// not be adjacent (insertion order, user comparators): the first entry
+    /// of each key goes through the key index, which is then kept for
+    /// `rank`.
+    fn rank_hashed(&mut self, perm: Vec<usize>) {
+        let mut index = KeyIndex::with_capacity(perm.len());
+        for (pos, &p) in perm.iter().enumerate() {
+            match index.entry(key_buf(self.key(p))) {
+                Entry::Vacant(e) => {
+                    e.insert(p);
+                    self.ranks[p] = if self.unique {
+                        self.sorted.len() as i64
+                    } else {
+                        pos as i64
+                    };
+                    if self.unique {
+                        self.sorted.push(p);
+                    }
+                }
+                Entry::Occupied(e) => self.ranks[p] = self.ranks[*e.get()],
+            }
+        }
+        if !self.unique {
+            self.sorted = perm;
+        }
+        self.index = OnceLock::from(index);
     }
 
     /// Number of (unique) keys; before finalize, the raw insertion count.
     pub fn len(&self) -> usize {
-        self.rows.len() / self.width
+        if self.finalized {
+            self.sorted.len()
+        } else {
+            self.keys.len() / self.width
+        }
     }
 
     /// Returns `true` when no keys are present.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.keys.is_empty()
     }
 
     /// Retrieves the re-ordered position of `key` — the permutation
@@ -299,16 +323,37 @@ impl OrderedList {
     /// # Errors
     /// Fails before finalize or for unknown keys.
     pub fn rank(&self, key: &[i64]) -> Result<i64, ListError> {
+        self.rank_traced(key).map(|(rank, _)| rank)
+    }
+
+    /// [`OrderedList::rank`] that also reports whether the answer came
+    /// from the ordinal table (`true`) rather than the key index.
+    #[inline]
+    pub(crate) fn rank_traced(&self, key: &[i64]) -> Result<(i64, bool), ListError> {
         if !self.finalized {
             return Err(ListError::NotFinalized);
         }
         if key.len() != self.width {
             return Err(ListError::WidthMismatch { expect: self.width, got: key.len() });
         }
-        self.ranks
+        let c = self.cursor.load(AtomicOrdering::Relaxed);
+        if self.keys.get(c * self.width..(c + 1) * self.width) == Some(key) {
+            self.cursor.store(c + 1, AtomicOrdering::Relaxed);
+            return Ok((self.ranks[c], true));
+        }
+        let index = self.index.get_or_init(|| {
+            let n = self.ranks.len();
+            let mut index = KeyIndex::with_capacity(n);
+            for p in 0..n {
+                index.entry(key_buf(self.key(p))).or_insert(p);
+            }
+            index
+        });
+        let p = *index
             .get(&key_buf(key))
-            .copied()
-            .ok_or_else(|| ListError::UnknownKey(key.to_vec()))
+            .ok_or_else(|| ListError::UnknownKey(key.to_vec()))?;
+        self.cursor.store(p + 1, AtomicOrdering::Relaxed);
+        Ok((self.ranks[p], false))
     }
 
     /// Value of key column `dim` at sorted position `pos`.
@@ -322,7 +367,7 @@ impl OrderedList {
         if dim >= self.width {
             return Err(ListError::BadColumn(dim));
         }
-        Ok(self.rows[pos * self.width + dim])
+        Ok(self.keys[self.sorted[pos] * self.width + dim])
     }
 }
 
