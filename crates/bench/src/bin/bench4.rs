@@ -22,7 +22,7 @@ use sparse_formats::descriptors;
 use sparse_formats::{
     AnyMatrix, AnyTensor, CooMatrix, CscMatrix, CsrMatrix, FormatDescriptor, MortonCooMatrix,
 };
-use sparse_matgen::generators::{random_uniform, skewed_tensor};
+use sparse_matgen::generators::{random_uniform, shuffle_perm, skewed_tensor};
 use sparse_synthesis::{Conversion, SynthesisOptions};
 
 struct Args {
@@ -85,18 +85,9 @@ fn matrix_pairs() -> Vec<(Src, FormatDescriptor, FormatDescriptor)> {
     ]
 }
 
-/// Deterministic shuffle so the "unsorted COO" source actually exercises
-/// the permutation machinery.
+/// `m` with its entries in a seeded scrambled order.
 fn shuffled(mut m: CooMatrix, seed: u64) -> CooMatrix {
-    let n = m.nnz();
-    let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1);
-    for i in (1..n).rev() {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        let j = (state >> 33) as usize % (i + 1);
-        m.row.swap(i, j);
-        m.col.swap(i, j);
-        m.val.swap(i, j);
-    }
+    m.permute(&shuffle_perm(m.nnz(), seed));
     m
 }
 

@@ -3,23 +3,29 @@
 //! destination descriptors.
 //!
 //! The synthesized SPF-IR plan stays the source of truth — a kernel is an
-//! optimization the engine may substitute when (and only when) the plan
-//! for the same `(src, dst)` pair exists and verified clean. Lookup is by
-//! `FormatDescriptor::fingerprint()`, which covers UF names as well as
-//! structure — a renamed descriptor (`with_suffix`) gets its own
-//! fingerprint and only matches kernels registered for that exact rename,
-//! keeping the kernel's array roles aligned with the descriptor's.
+//! optimization the engine substitutes for the plan of the same
+//! `(src, dst)` pair whenever that pair's fingerprints are registered here
+//! and the input has passed validation against the source descriptor.
+//! Lookup is by `FormatDescriptor::fingerprint()`, which covers UF names
+//! as well as structure — a renamed descriptor (`with_suffix`) gets its
+//! own fingerprint and only matches kernels registered for that exact
+//! rename, keeping the kernel's array roles aligned with the descriptor's.
 //!
 //! # Equivalence contract
 //!
 //! Every registered kernel must be **bit-identical** to the interpreter
-//! path for every *valid* input (enforced by the differential suite in
-//! `tests/differential.rs`). Where the two could diverge — duplicate
-//! coordinates in an unordered COO source, which the permutation-based
-//! plans collapse through first-occurrence ranks — the kernel *declines*
-//! with an error instead of answering, and the engine transparently falls
-//! back to the interpreter. A kernel error is therefore never a
-//! conversion failure, just a de-optimization.
+//! path for every *valid* input. Registration is the claim and the
+//! differential suites are its proof: `tests/differential.rs` here runs
+//! each kernel against the interpreter directly, and the engine's
+//! `tests/differential.rs` runs every catalog pair through both backends.
+//! Where the two could diverge — duplicate coordinates in an unordered COO
+//! source, which the permutation-based plans collapse through
+//! first-occurrence ranks — the kernel *declines* with an error instead of
+//! answering, and the engine transparently falls back to the interpreter.
+//! A kernel error is therefore never a conversion failure, just a
+//! de-optimization. The sort-based kernels detect duplicates only after
+//! their full sort, so a decline costs that sort on top of the
+//! interpreter run.
 
 use std::collections::HashMap;
 use std::sync::OnceLock;

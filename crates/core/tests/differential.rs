@@ -14,7 +14,7 @@ use proptest::prelude::*;
 use sparse_formats::descriptors;
 use sparse_formats::{AnyMatrix, AnyTensor, Coo3Tensor, CooMatrix, CscMatrix, CsrMatrix,
     FormatDescriptor, MortonCooMatrix};
-use sparse_matgen::generators::{power_law, random_uniform};
+use sparse_matgen::generators::{power_law, random_uniform, shuffle_perm};
 use sparse_synthesis::{Conversion, SynthesisOptions};
 
 /// How to present a generated COO matrix to a conversion's *source*
@@ -52,18 +52,9 @@ fn kernel_pairs() -> Vec<(Src, FormatDescriptor, FormatDescriptor)> {
     ]
 }
 
-/// Deterministic Fisher–Yates driven by a seed, so "unsorted" inputs are
-/// reproducibly scrambled without duplicating coordinates.
+/// `m` with its entries in a seeded scrambled order.
 fn shuffled(mut m: CooMatrix, seed: u64) -> CooMatrix {
-    let n = m.nnz();
-    let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1);
-    for i in (1..n).rev() {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        let j = (state >> 33) as usize % (i + 1);
-        m.row.swap(i, j);
-        m.col.swap(i, j);
-        m.val.swap(i, j);
-    }
+    m.permute(&shuffle_perm(m.nnz(), seed));
     m
 }
 

@@ -4,78 +4,15 @@
 //! misses, and its output matches the stats-free run's.
 
 use sparse_formats::{
-    descriptors, AnyMatrix, AnyTensor, CscMatrix, CsrMatrix, EllMatrix, FormatDescriptor,
-    MortonCoo3Tensor, MortonCooMatrix,
+    AnyMatrix, AnyTensor, CscMatrix, CsrMatrix, EllMatrix, MortonCoo3Tensor, MortonCooMatrix,
 };
+use sparse_matgen::catalog::{pair_descriptors, MATRIX_PAIRS, TENSOR_PAIRS};
 use sparse_matgen::{random_uniform, skewed_tensor};
 use sparse_synthesis::{Conversion, SynthesisOptions};
 
-/// The 31 matrix and 6 tensor pairs of the synthesizable catalog.
-const MATRIX_PAIRS: [(&str, &str); 31] = [
-    ("coo", "scoo"),
-    ("coo", "csr"),
-    ("coo", "csc"),
-    ("coo", "dia"),
-    ("coo", "mcoo"),
-    ("scoo", "coo"),
-    ("scoo", "csr"),
-    ("scoo", "csc"),
-    ("scoo", "dia"),
-    ("scoo", "mcoo"),
-    ("csr", "coo"),
-    ("csr", "scoo"),
-    ("csr", "csc"),
-    ("csr", "dia"),
-    ("csr", "mcoo"),
-    ("csc", "coo"),
-    ("csc", "scoo"),
-    ("csc", "csr"),
-    ("csc", "dia"),
-    ("csc", "mcoo"),
-    ("mcoo", "coo"),
-    ("mcoo", "scoo"),
-    ("mcoo", "csr"),
-    ("mcoo", "csc"),
-    ("mcoo", "dia"),
-    ("ell", "coo"),
-    ("ell", "scoo"),
-    ("ell", "csr"),
-    ("ell", "csc"),
-    ("ell", "dia"),
-    ("ell", "mcoo"),
-];
-const TENSOR_PAIRS: [(&str, &str); 6] = [
-    ("coo3", "scoo3"),
-    ("coo3", "mcoo3"),
-    ("scoo3", "coo3"),
-    ("scoo3", "mcoo3"),
-    ("mcoo3", "coo3"),
-    ("mcoo3", "scoo3"),
-];
-
-fn descriptor(name: &str) -> FormatDescriptor {
-    match name {
-        "coo" => descriptors::coo(),
-        "scoo" => descriptors::scoo(),
-        "csr" => descriptors::csr(),
-        "csc" => descriptors::csc(),
-        "dia" => descriptors::dia(),
-        "mcoo" => descriptors::mcoo(),
-        "ell" => descriptors::ell(),
-        "coo3" => descriptors::coo3(),
-        "scoo3" => descriptors::scoo3(),
-        "mcoo3" => descriptors::mcoo3(),
-        _ => unreachable!("not a catalog format: {name}"),
-    }
-}
-
-/// Synthesizes `src -> dst`, alpha-renaming a destination that shares UF
-/// names with its source.
+/// Synthesizes the catalog pair `src -> dst`.
 fn conversion(src: &str, dst: &str) -> Conversion {
-    let (s, mut d) = (descriptor(src), descriptor(dst));
-    if d.uf_names().iter().any(|n| s.uf_names().contains(n)) {
-        d = d.with_suffix("_v");
-    }
+    let (s, d) = pair_descriptors(src, dst);
     Conversion::new(&s, &d, SynthesisOptions::default()).unwrap()
 }
 

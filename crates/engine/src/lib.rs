@@ -26,13 +26,14 @@
 //!   refused (and never cached), and batch fan-out is gated on the
 //!   verifier's dependence verdict.
 //! * **Native kernel backend** — under [`Backend::Auto`] (the default
-//!   policy), conversions whose plan is *statically verified* and whose
-//!   inputs are *validated* may be served by a fused hand-optimized
-//!   kernel from the [`sparse_synthesis::KernelRegistry`] instead of the
-//!   SPF-IR interpreter, keyed by the pair's structural fingerprints.
-//!   Kernels are bit-identical to the interpreter (differential-tested);
-//!   any miss, decline, or contained kernel panic falls back to the
-//!   interpreter transparently — fallback is never an error.
+//!   policy), conversions whose inputs are *validated* are served by a
+//!   fused hand-optimized kernel from the
+//!   [`sparse_synthesis::KernelRegistry`] whenever one is registered for
+//!   the pair's structural fingerprints, instead of the SPF-IR
+//!   interpreter. Kernels are bit-identical to the interpreter
+//!   (differential-tested per registered pair); any miss, decline, or
+//!   contained kernel panic falls back to the interpreter transparently —
+//!   fallback is never an error. A default [`Engine::new`] runs kernels.
 //! * **Observability** — [`Engine::stats`] snapshots hit/miss/eviction
 //!   counters, conversion and nnz totals, kernel hits vs interpreter
 //!   fallbacks, verification outcomes, and cumulative synthesis vs
@@ -164,15 +165,18 @@ impl From<RunError> for EngineError {
 /// Which execution backend the engine may use for a conversion.
 ///
 /// The selection rule under [`Backend::Auto`] is: structural fingerprint
-/// match in the [`sparse_synthesis::KernelRegistry`] **and** the plan
-/// carries a clean static-verification report **and** input validation is
-/// on — then the native kernel runs; anything else executes on the SPF-IR
-/// interpreter. Falling back is never an error, and a kernel that
-/// declines an input (or panics) falls back transparently too.
+/// match in the [`sparse_synthesis::KernelRegistry`] **and** input
+/// validation is on — then the native kernel runs; anything else executes
+/// on the SPF-IR interpreter. Plan verification plays no part: the
+/// verifier checks the synthesized plan, which a kernel never runs, while
+/// the differential suites prove each registered kernel bit-identical to
+/// that plan on validated inputs. Falling back is never an error, and a
+/// kernel that declines an input (or panics) falls back transparently
+/// too.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backend {
-    /// Prefer a registered native kernel when the plan is verified and
-    /// inputs are validated; interpret otherwise (the default).
+    /// Prefer a registered native kernel when inputs are validated;
+    /// interpret otherwise (the default).
     #[default]
     Auto,
     /// Always execute on the SPF-IR interpreter, even when a kernel is
@@ -197,14 +201,18 @@ pub struct EngineConfig {
     /// with error-severity findings are refused (and never cached), and
     /// [`Engine::convert_batch`] only fans work across threads when the
     /// verifier proved a parallel loop; unverified engines keep the
-    /// historical trust-the-synthesizer behavior.
+    /// historical trust-the-synthesizer behavior. Verification does not
+    /// decide the execution backend: kernels run with or without it.
     pub verify_plans: bool,
     /// Validate every input container against its source descriptor's
     /// quantifier obligations before binding (default `true`). The
     /// static verifier proves plans correct *assuming* those obligations
-    /// hold; this is the runtime half of that contract. Disable only for
-    /// trusted inputs on hot paths — violations then surface as typed
-    /// execution errors at best and silent garbage at worst.
+    /// hold; this is the runtime half of that contract. It is also the
+    /// precondition of every native kernel, so `false` turns kernels off.
+    /// Disable only for trusted inputs on hot paths — violations then
+    /// surface as typed execution errors at best and silent garbage at
+    /// worst (the known silent classes are enumerated in
+    /// `tests/fault_injection.rs`).
     pub validate_inputs: bool,
     /// Admission-control budget in bytes for the *estimated destination
     /// footprint* of each conversion (default `None` = unlimited).
@@ -218,10 +226,11 @@ pub struct EngineConfig {
     /// [`RunError::DeadlineExceeded`]; items already executing run to
     /// completion.
     pub batch_deadline: Option<Duration>,
-    /// Execution backend policy (default [`Backend::Auto`]). Kernels only
-    /// ever run behind validated inputs *and* verified plans, so engines
-    /// with `verify_plans: false` (the default) or `validate_inputs:
-    /// false` behave identically under either variant.
+    /// Execution backend policy (default [`Backend::Auto`]: a registered
+    /// kernel serves its pair). Kernels only ever run behind validated
+    /// inputs, so engines with `validate_inputs: false` behave
+    /// identically under either variant; [`Backend::InterpreterOnly`] is
+    /// the one switch that turns kernels off for validated inputs.
     pub backend: Backend,
     /// Capacity of the exceptional-event ring buffer (default 1024).
     /// When full, the oldest event is overwritten and the dropped-event
@@ -345,6 +354,9 @@ impl Engine {
         src: &FormatDescriptor,
         dst: &FormatDescriptor,
     ) -> Result<Arc<Plan>, EngineError> {
+        // The stage clock covers fingerprinting too: on a warm call it is
+        // most of the lookup's cost.
+        let t0 = Instant::now();
         let options = self.config.options;
         let verify = self.config.verify_plans;
         // The verification flag changes what a cached entry *is* (plans
@@ -356,7 +368,6 @@ impl Engine {
             h.finish()
         };
         StatsInner::add(&self.stats.plan_lookups, 1);
-        let t0 = Instant::now();
         let lookup = self.cache.get_or_insert_with(key, || {
             // Contain synthesizer/verifier panics here so the engine's
             // counters stay exact; the cache's own catch_unwind is the
@@ -390,13 +401,10 @@ impl Engine {
                 Err(EngineError::Plan(msg))
             }
         };
+        let nanos = t0.elapsed().as_nanos() as u64;
+        StatsInner::add(&self.stats.plan_nanos, nanos);
         if self.subscriber.enabled() {
-            self.subscriber.span(Span {
-                stage: Stage::Plan,
-                pair: key,
-                nanos: t0.elapsed().as_nanos() as u64,
-                ok: out.is_ok(),
-            });
+            self.subscriber.span(Span { stage: Stage::Plan, pair: key, nanos, ok: out.is_ok() });
         }
         out
     }
@@ -1040,14 +1048,15 @@ impl Engine {
 
     /// The kernel-backend gate: a native kernel may serve a conversion
     /// only when the policy allows it ([`Backend::Auto`]), the inputs
-    /// have passed source-descriptor validation, the plan carries a
-    /// clean static-verification report, and a kernel is registered for
-    /// the pair's structural fingerprints. Everything else interprets.
+    /// have passed source-descriptor validation, and a kernel is
+    /// registered for the pair's structural fingerprints. Everything else
+    /// interprets. These are the two facts a kernel's correctness rests
+    /// on: the differential suites prove each registered fingerprint pair
+    /// bit-identical to the interpreter, on exactly the inputs validation
+    /// admits. A verification report is not required — it speaks about
+    /// the synthesized plan, which the kernel does not run.
     fn kernel_eligible(&self, plan: &Plan) -> bool {
-        self.config.backend == Backend::Auto
-            && self.config.validate_inputs
-            && plan.verification.is_some()
-            && plan.has_kernel()
+        self.config.backend == Backend::Auto && self.config.validate_inputs && plan.has_kernel()
     }
 }
 
@@ -1162,17 +1171,15 @@ mod tests {
         assert_eq!(engine.stats().panics_caught, 1);
     }
 
-    /// A kernel-eligible plan for scoo -> csr (clean verification report
-    /// attached) whose native kernel is replaced by `kernel` through the
-    /// fault-injection hook.
+    /// A kernel-eligible plan for scoo -> csr (unverified, as a default
+    /// engine builds it) whose native kernel is replaced by `kernel`
+    /// through the fault-injection hook.
     fn kernel_plan(kernel: sparse_synthesis::MatrixKernelFn) -> Plan {
         let mut conversion =
             Conversion::new(&descriptors::scoo(), &descriptors::csr(), SynthesisOptions::default())
                 .unwrap();
-        let report = sparse_analyze::verify(&conversion.synth);
-        assert!(report.is_clean(), "scoo -> csr must verify cleanly");
         conversion.override_matrix_kernel(kernel);
-        Plan { conversion, verification: Some(report), pair: 42 }
+        Plan { conversion, verification: None, pair: 42 }
     }
 
     fn sorted_input() -> AnyMatrix {

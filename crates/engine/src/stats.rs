@@ -29,6 +29,7 @@ pub(crate) struct StatsInner {
     pub kernel_declines: AtomicU64,
     pub kernel_panics: AtomicU64,
     pub interp_fallbacks: AtomicU64,
+    pub plan_nanos: AtomicU64,
     pub synth_nanos: AtomicU64,
     pub verify_nanos: AtomicU64,
     pub validate_nanos: AtomicU64,
@@ -66,6 +67,7 @@ impl StatsInner {
             kernel_declines: self.kernel_declines.load(Ordering::Relaxed),
             kernel_panics: self.kernel_panics.load(Ordering::Relaxed),
             interp_fallbacks: self.interp_fallbacks.load(Ordering::Relaxed),
+            plan_time: Duration::from_nanos(self.plan_nanos.load(Ordering::Relaxed)),
             synth_time: Duration::from_nanos(self.synth_nanos.load(Ordering::Relaxed)),
             verify_time: Duration::from_nanos(self.verify_nanos.load(Ordering::Relaxed)),
             validate_time: Duration::from_nanos(self.validate_nanos.load(Ordering::Relaxed)),
@@ -151,11 +153,19 @@ pub struct EngineStats {
     /// instead. An earlier regime swallowed these entirely.
     pub kernel_panics: u64,
     /// Successful conversions executed by the SPF-IR interpreter —
-    /// because no kernel is registered for the pair, the plan was not
-    /// verified, the backend is [`crate::Backend::InterpreterOnly`], or
+    /// because no kernel is registered for the pair, input validation is
+    /// off, the backend is [`crate::Backend::InterpreterOnly`], or
     /// a kernel declined/panicked on the input. Falling back is never an
     /// error.
     pub interp_fallbacks: u64,
+    /// Cumulative wall time spent in `Engine::plan` lookups: descriptor
+    /// fingerprinting and the cache probe on every call, plus (on a miss)
+    /// the synthesis and verification that `synth_time` and `verify_time`
+    /// also count. With it, a conversion's stage times — `plan_time`,
+    /// `validate_time`, `kernel_time`, `kernel_declined_time`,
+    /// `exec_time` — sum to its wall time. Not yet exported by
+    /// `Engine::metrics_text`.
+    pub plan_time: Duration,
     /// Cumulative wall time spent in synthesis + lowering.
     pub synth_time: Duration,
     /// Cumulative wall time spent in static plan verification.

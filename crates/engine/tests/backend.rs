@@ -1,12 +1,15 @@
 //! Execution-backend contract tests: the native kernel path engages
-//! exactly when policy, validation, verification, and registration all
-//! line up; every other conversion interprets; and the accounting
-//! invariant `kernels_hit + interp_fallbacks == conversions` holds
-//! unconditionally.
+//! exactly when policy, validation, and registration all line up —
+//! with or without plan verification; every other conversion
+//! interprets; and the accounting invariant `kernels_hit +
+//! interp_fallbacks == conversions` holds unconditionally.
 
-use sparse_engine::{Backend, Engine, EngineConfig, EngineStats};
+use std::sync::Arc;
+
+use sparse_engine::{Backend, CollectingSubscriber, Engine, EngineConfig, EngineStats};
 use sparse_formats::descriptors;
 use sparse_formats::{AnyMatrix, AnyTensor, Coo3Tensor, CooMatrix, CsrMatrix, MortonCoo3Tensor};
+use sparse_obs::Stage;
 
 fn sample_scoo(nr: usize, nc: usize, per_row: usize) -> CooMatrix {
     let mut row = Vec::new();
@@ -77,10 +80,31 @@ fn backend_choice_does_not_change_results() {
 }
 
 #[test]
-fn unverified_engine_never_uses_kernels() {
-    // The default engine does not verify plans, and kernels only run
-    // behind verified plans — so defaults keep the historical behavior.
-    let engine = Engine::new();
+fn default_engine_serves_hot_pair_from_kernel_without_verifying() {
+    // The default engine does not verify plans, and kernels do not need
+    // it: a registered fingerprint pair plus validated input is the
+    // whole gate, so `Engine::new()` runs the kernel.
+    let collector = Arc::new(CollectingSubscriber::new());
+    let engine = Engine::with_subscriber(EngineConfig::default(), collector.clone());
+    let coo = sample_scoo(10, 10, 2);
+    let out = engine
+        .convert(&descriptors::scoo(), &descriptors::csr(), &AnyMatrix::Coo(coo.clone()))
+        .unwrap();
+    assert_eq!(out, AnyMatrix::Csr(CsrMatrix::from_coo(&coo)));
+    let stats = engine.stats();
+    assert_eq!(stats.kernels_hit, 1, "the default engine must use the registered kernel");
+    assert_eq!(stats.interp_fallbacks, 0);
+    assert_eq!(stats.plans_verified, 0, "no plan was verified");
+    assert!(collector.spans_for(Stage::Verify).is_empty(), "no verify span on the default engine");
+    assert_invariant(&stats);
+}
+
+#[test]
+fn unvalidated_inputs_disable_kernels() {
+    // Kernels assume validated inputs; an engine that skips validation
+    // must not take the kernel path, and nothing else has to be turned
+    // off for that to hold.
+    let engine = Engine::with_config(EngineConfig { validate_inputs: false, ..Default::default() });
     let coo = sample_scoo(10, 10, 2);
     engine
         .convert(&descriptors::scoo(), &descriptors::csr(), &AnyMatrix::Coo(coo))
@@ -88,24 +112,6 @@ fn unverified_engine_never_uses_kernels() {
     let stats = engine.stats();
     assert_eq!(stats.kernels_hit, 0);
     assert_eq!(stats.interp_fallbacks, 1);
-    assert_invariant(&stats);
-}
-
-#[test]
-fn unvalidated_inputs_disable_kernels() {
-    // Kernels assume validated inputs; an engine that skips validation
-    // must not take the kernel path even when the plan is verified.
-    let engine = Engine::with_config(EngineConfig {
-        verify_plans: true,
-        validate_inputs: false,
-        ..Default::default()
-    });
-    let coo = sample_scoo(10, 10, 2);
-    engine
-        .convert(&descriptors::scoo(), &descriptors::csr(), &AnyMatrix::Coo(coo))
-        .unwrap();
-    let stats = engine.stats();
-    assert_eq!(stats.kernels_hit, 0);
     assert_invariant(&stats);
 }
 
@@ -201,4 +207,74 @@ fn tensor_conversions_use_kernels_too() {
     let stats = engine.stats();
     assert_eq!(stats.kernels_hit, 1);
     assert_invariant(&stats);
+}
+
+#[test]
+fn default_engine_pays_for_duplicate_declines_and_answers_like_the_interpreter() {
+    // The sort-based kernels find duplicate coordinates only after their
+    // full sort, then decline; the default engine has paid that sort and
+    // then runs the interpreter. The outcome must be the interpreter's
+    // (on duplicates that is a wrong container for COO -> SCOO and a typed
+    // output error for the Morton destinations; see the engine
+    // differential suite), and the wasted attempt must show in the ledger.
+    let dup = CooMatrix::from_triplets(
+        4,
+        4,
+        vec![1, 0, 1, 3, 2, 0],
+        vec![2, 1, 2, 0, 3, 1],
+        vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
+    )
+    .unwrap();
+    let dup3 = Coo3Tensor::from_coords(
+        (3, 3, 3),
+        vec![2, 0, 2, 1],
+        vec![1, 0, 1, 2],
+        vec![0, 1, 0, 2],
+        vec![1.0, 2.0, 3.0, 4.0],
+    )
+    .unwrap();
+    let interp_only = || {
+        Engine::with_config(EngineConfig { backend: Backend::InterpreterOnly, ..Default::default() })
+    };
+    fn same<T: PartialEq + std::fmt::Debug, E: std::fmt::Display>(
+        label: &str,
+        got: Result<T, E>,
+        want: Result<T, E>,
+    ) {
+        match (got, want) {
+            (Ok(g), Ok(w)) => assert_eq!(g, w, "{label}: output must equal the interpreter's"),
+            (Err(g), Err(w)) => assert_eq!(g.to_string(), w.to_string(), "{label}"),
+            (g, w) => panic!("{label}: outcomes differ: {:?} vs {:?}", g.is_ok(), w.is_ok()),
+        }
+    }
+    let check = |label: &str, engine: &Engine| {
+        let stats = engine.stats();
+        assert_eq!(stats.kernel_declines, 1, "{label}: the kernel must decline");
+        assert!(stats.kernel_declined_time > std::time::Duration::ZERO, "{label}: declined time");
+        assert_eq!(stats.kernels_hit, 0, "{label}");
+        assert_eq!(
+            stats.interp_fallbacks + stats.conversions_failed,
+            1,
+            "{label}: the interpreter answers"
+        );
+        assert_eq!(stats.panics_caught, 0, "{label}");
+        assert_invariant(&stats);
+    };
+
+    let src = descriptors::coo();
+    for dst in [descriptors::scoo().with_suffix("_d"), descriptors::mcoo()] {
+        let label = format!("COO -> {}", dst.name);
+        let input = AnyMatrix::Coo(dup.clone());
+        let engine = Engine::new();
+        let got = engine.convert(&src, &dst, &input);
+        same(&label, got, interp_only().convert(&src, &dst, &input));
+        check(&label, &engine);
+    }
+
+    let (src, dst) = (descriptors::coo3(), descriptors::mcoo3());
+    let input = AnyTensor::Coo3(dup3);
+    let engine = Engine::new();
+    let got = engine.convert_tensor(&src, &dst, &input);
+    same("COO3 -> MCOO3", got, interp_only().convert_tensor(&src, &dst, &input));
+    check("COO3 -> MCOO3", &engine);
 }

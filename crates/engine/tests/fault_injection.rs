@@ -275,24 +275,19 @@ fn failed_runs_are_not_counted_as_conversions() {
     assert!(engine.events_dump().contains("run-failed"), "{}", engine.events_dump());
 }
 
-#[test]
-fn corruption_sweep_stays_typed_with_kernel_backend_enabled() {
-    // The native kernel backend only ever runs behind validated inputs
-    // and verified plans, so enabling it must change nothing about the
-    // fault-injection contract: every corruption class still surfaces as
-    // a typed validation error (kernels never see corrupt data), clean
-    // inputs still convert bit-exactly, and the backend accounting
-    // balances.
+/// The fault-injection contract on an engine whose kernel backend is
+/// live: every corruption class still surfaces as a typed validation
+/// error (kernels never see corrupt data), clean inputs still convert
+/// bit-exactly, the backend accounting balances, and kernel-backed pairs
+/// really do run their kernels.
+fn corruption_sweep_stays_typed(config: EngineConfig) {
     for (label, input, src, dst) in sources() {
-        let engine = Engine::with_config(EngineConfig {
-            verify_plans: true,
-            ..Default::default()
-        });
+        let engine = Engine::with_config(config);
         let oracle = match engine.convert(&src, &dst, &input) {
             Ok(out) => out,
             // Pairs the static verifier refuses never reach execution;
             // the kernel-backend contract is vacuous for them.
-            Err(EngineError::Plan(_)) => continue,
+            Err(EngineError::Plan(_)) if config.verify_plans => continue,
             Err(other) => panic!("{label}: clean input failed: {other}"),
         };
         let mut rejected = 0u64;
@@ -311,6 +306,7 @@ fn corruption_sweep_stays_typed_with_kernel_backend_enabled() {
         assert_eq!(engine.convert(&src, &dst, &input).unwrap(), oracle, "{label}");
         let stats = engine.stats();
         assert_eq!(stats.panics_caught, 0, "{label}: zero panics allowed");
+        assert_eq!(stats.inputs_rejected, rejected, "{label}: rejection count must be exact");
         assert_eq!(
             stats.kernels_hit + stats.interp_fallbacks,
             stats.conversions,
@@ -327,4 +323,95 @@ fn corruption_sweep_stays_typed_with_kernel_backend_enabled() {
             assert_eq!(stats.kernels_hit, 0, "{label}: no kernel registered");
         }
     }
+}
+
+#[test]
+fn corruption_sweep_stays_typed_with_kernel_backend_enabled() {
+    corruption_sweep_stays_typed(EngineConfig { verify_plans: true, ..Default::default() });
+}
+
+#[test]
+fn corruption_sweep_stays_typed_on_default_engine() {
+    // The default engine runs kernels without verifying plans; the
+    // validation gate in front of them is what keeps corrupt data out.
+    corruption_sweep_stays_typed(EngineConfig::default());
+}
+
+/// What an engine with `validate_inputs: false` returns for a corruption
+/// that does not fail with a typed error.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Silent {
+    /// The uncorrupted input's output: the plan reads `NNZ` (or the
+    /// padded width) from an intact array and never touches the spurious
+    /// or missing element.
+    Oracle,
+    /// Silent garbage: a container that is not the conversion of any
+    /// valid input near this one, or a NaN passed through.
+    Garbage,
+}
+
+/// Every `(source, class)` that converts without error when validation
+/// is off — the "silent garbage at worst" the `validate_inputs`
+/// documentation warns about, enumerated so that a new silent case fails
+/// the sweep below and a closed one must be removed from this list.
+/// Every other corrupted `(source, class)` returns a typed error.
+const SILENT: &[(&str, Corruption, Silent)] = &[
+    // The last entry is dropped: NNZ comes from the shortened array.
+    ("scoo", Corruption::TruncateArray, Silent::Garbage),
+    ("scoo", Corruption::NonFiniteValue, Silent::Garbage),
+    ("scoo", Corruption::ExtraLength, Silent::Oracle),
+    // Swapped pointers re-assign entries to the wrong rows.
+    ("csr", Corruption::SwapPointerPair, Silent::Garbage),
+    // CSR -> COO copies the repeated column through unchecked.
+    ("csr", Corruption::DuplicateCoordinate, Silent::Garbage),
+    ("csr", Corruption::NonFiniteValue, Silent::Garbage),
+    ("csr", Corruption::ExtraLength, Silent::Oracle),
+    ("csc", Corruption::SwapPointerPair, Silent::Garbage),
+    ("csc", Corruption::NonFiniteValue, Silent::Garbage),
+    ("csc", Corruption::ExtraLength, Silent::Oracle),
+    ("ell", Corruption::TruncateArray, Silent::Oracle),
+    // A negative column reads as padding: the entry vanishes.
+    ("ell", Corruption::NegativeIndex, Silent::Garbage),
+    ("ell", Corruption::NonFiniteValue, Silent::Garbage),
+    ("mcoo", Corruption::TruncateArray, Silent::Garbage),
+    ("mcoo", Corruption::NonFiniteValue, Silent::Garbage),
+    ("mcoo", Corruption::ExtraLength, Silent::Oracle),
+];
+
+#[test]
+fn unvalidated_corruption_sweep_is_typed_or_known_silent() {
+    // Validation off: kernels must stay off (they rely on validated
+    // input), no corrupted input may panic the engine, and each case
+    // either fails with a typed error or is a listed silent case.
+    let mut silent_seen = Vec::new();
+    for (label, input, src, dst) in sources() {
+        let engine = Engine::with_config(EngineConfig {
+            validate_inputs: false,
+            ..Default::default()
+        });
+        let oracle = engine.convert(&src, &dst, &input).unwrap();
+        for class in Corruption::ALL {
+            let Some(mutant) = corrupt_matrix(&input, class) else { continue };
+            match engine.convert(&src, &dst, &mutant) {
+                Ok(out) if class.is_benign() => {
+                    assert_eq!(out.nnz(), 0, "{label}/{class}: empty input converts empty");
+                }
+                Ok(out) => {
+                    let kind = if out == oracle { Silent::Oracle } else { Silent::Garbage };
+                    silent_seen.push((label, class, kind));
+                }
+                Err(EngineError::Run(e)) => assert!(
+                    !matches!(e, RunError::InvalidInput { .. }),
+                    "{label}/{class}: validation is off, yet it rejected the input: {e}"
+                ),
+                Err(other) => panic!("{label}/{class}: expected a typed run error, got: {other}"),
+            }
+        }
+        let stats = engine.stats();
+        assert_eq!(stats.kernels_hit, 0, "{label}: kernels never run on unvalidated input");
+        assert_eq!(stats.kernel_declines + stats.kernel_panics, 0, "{label}: nor are tried");
+        assert_eq!(stats.panics_caught, 0, "{label}: zero panics allowed");
+        assert_eq!(stats.inputs_rejected, 0, "{label}: nothing is validated");
+    }
+    assert_eq!(silent_seen, SILENT, "the silent cases must be exactly the listed ones");
 }

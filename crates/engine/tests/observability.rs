@@ -3,8 +3,9 @@
 //! Prometheus-style exposition is snapshot-stable (metric names are API).
 
 use std::sync::Arc;
+use std::time::Instant;
 
-use sparse_engine::{CollectingSubscriber, Engine, EngineConfig};
+use sparse_engine::{Backend, CollectingSubscriber, Engine, EngineConfig};
 use sparse_formats::descriptors;
 use sparse_formats::{AnyMatrix, CooMatrix};
 use sparse_obs::{EventKind, Stage};
@@ -30,24 +31,55 @@ fn unsorted() -> AnyMatrix {
     )
 }
 
-#[test]
-fn interp_path_emits_spans_for_every_stage() {
-    let collector = Arc::new(CollectingSubscriber::new());
-    let engine = Engine::with_subscriber(EngineConfig::default(), collector.clone());
-    engine
-        .convert(&descriptors::scoo(), &descriptors::csr(), &sample())
-        .unwrap();
-
-    // Default engine (no verification, no budget): plan, validate,
-    // interp, extract — in that order, all ok, all on one pair key.
+/// The stage sequence of one successful conversion, checked for the
+/// invariants every path shares: all ok, all keyed by one nonzero pair,
+/// no events.
+fn stages_of_one_conversion(collector: &CollectingSubscriber) -> Vec<Stage> {
     let spans = collector.spans();
-    let stages: Vec<Stage> = spans.iter().map(|s| s.stage).collect();
-    assert_eq!(stages, [Stage::Plan, Stage::Validate, Stage::Interp, Stage::Extract]);
     assert!(spans.iter().all(|s| s.ok), "every stage succeeded: {spans:?}");
     let pair = spans[0].pair;
     assert_ne!(pair, 0, "the plan fingerprint keys the spans");
     assert!(spans.iter().all(|s| s.pair == pair), "one conversion, one pair: {spans:?}");
     assert!(collector.events().is_empty(), "success emits no events");
+    spans.iter().map(|s| s.stage).collect()
+}
+
+#[test]
+fn interp_path_emits_spans_for_every_stage() {
+    // No verification, no budget: plan, validate, interp, extract — in
+    // that order — whether the interpreter runs by policy on a kernel
+    // pair or because the pair has no kernel.
+    for (backend, dst) in [
+        (Backend::InterpreterOnly, descriptors::csr()),
+        (Backend::Auto, descriptors::dia()),
+    ] {
+        let collector = Arc::new(CollectingSubscriber::new());
+        let engine = Engine::with_subscriber(
+            EngineConfig { backend, ..Default::default() },
+            collector.clone(),
+        );
+        engine.convert(&descriptors::scoo(), &dst, &sample()).unwrap();
+        assert_eq!(
+            stages_of_one_conversion(&collector),
+            [Stage::Plan, Stage::Validate, Stage::Interp, Stage::Extract],
+            "{backend:?} SCOO->{}",
+            dst.name
+        );
+        assert_eq!(engine.stats().kernels_hit, 0);
+    }
+
+    // The default engine on a kernel pair: plan, validate, kernel — the
+    // kernel builds the container itself, so no interp or extract stage.
+    let collector = Arc::new(CollectingSubscriber::new());
+    let engine = Engine::with_subscriber(EngineConfig::default(), collector.clone());
+    engine
+        .convert(&descriptors::scoo(), &descriptors::csr(), &sample())
+        .unwrap();
+    assert_eq!(
+        stages_of_one_conversion(&collector),
+        [Stage::Plan, Stage::Validate, Stage::Kernel]
+    );
+    assert_eq!(engine.stats().kernels_hit, 1);
 }
 
 #[test]
@@ -92,6 +124,30 @@ fn rejected_input_reaches_ring_and_subscriber() {
     assert!(collector.spans_for(Stage::Interp).is_empty());
 }
 
+#[test]
+fn stage_ledger_times_disjoint_parts_of_each_call() {
+    // The ledger's stage times are disjoint parts of one call, so they sum
+    // to at most its wall time; and the plan lookup, fingerprinting
+    // included, is one of them even on a warm call.
+    let engine = Engine::new();
+    let src = descriptors::scoo();
+    for dst in [descriptors::csr(), descriptors::dia()] {
+        engine.convert(&src, &dst, &sample()).unwrap();
+        let before = engine.stats();
+        let t0 = Instant::now();
+        engine.convert(&src, &dst, &sample()).unwrap();
+        let wall = t0.elapsed();
+        let after = engine.stats();
+        assert!(after.plan_time > before.plan_time, "SCOO->{}: warm lookup untimed", dst.name);
+        let stages = (after.plan_time - before.plan_time)
+            + (after.validate_time - before.validate_time)
+            + (after.kernel_time - before.kernel_time)
+            + (after.kernel_declined_time - before.kernel_declined_time)
+            + (after.exec_time - before.exec_time);
+        assert!(stages <= wall, "SCOO->{}: stages {stages:?} exceed wall {wall:?}", dst.name);
+    }
+}
+
 /// Replaces every digit run with `N` so the snapshot is independent of
 /// measured latencies while still pinning every metric name, label,
 /// help string, and line ordering.
@@ -129,7 +185,8 @@ fn metrics_text_is_snapshot_stable() {
         "engine_plans_synthesized_total 1",
         "engine_conversions_total 2",
         "engine_conversions_failed_total 0",
-        "engine_interp_fallbacks_total 2",
+        "engine_kernels_hit_total 2",
+        "engine_interp_fallbacks_total 0",
         "engine_inputs_rejected_total 1",
         "engine_nnz_moved_total 10",
         "engine_events_recorded_total 1",

@@ -202,6 +202,22 @@ pub fn power_law(nr: usize, nc: usize, nnz: usize, seed: u64) -> CooMatrix {
     m
 }
 
+/// A seeded Fisher–Yates permutation of `0..n` (a fixed LCG, so the same
+/// seed scrambles identically everywhere); apply it with `permute` to
+/// make a sorted container genuinely unordered.
+pub fn shuffle_perm(n: usize, seed: u64) -> Vec<usize> {
+    let mut perm: Vec<usize> = (0..n).collect();
+    let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1);
+    for i in (1..n).rev() {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let j = (state >> 33) as usize % (i + 1);
+        perm.swap(i, j);
+    }
+    perm
+}
+
 /// Removes duplicate coordinates from a sorted COO matrix (keeping the
 /// first value).
 pub fn dedup_coo(m: &mut CooMatrix) {
@@ -310,6 +326,17 @@ mod tests {
         assert_eq!(power_law(40, 40, 200, 7), power_law(40, 40, 200, 7));
         let a = fem_like(64, 8, 2, 3);
         assert_eq!(a, fem_like(64, 8, 2, 3));
+    }
+
+    #[test]
+    fn shuffle_perm_is_a_seeded_permutation() {
+        let p = shuffle_perm(100, 3);
+        let mut sorted = p.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
+        assert_ne!(p, sorted, "a scramble, not the identity");
+        assert_eq!(p, shuffle_perm(100, 3), "same seed, same order");
+        assert!(shuffle_perm(0, 3).is_empty());
     }
 
     #[test]

@@ -19,6 +19,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod catalog;
 pub mod corrupt;
 pub mod generators;
 pub mod mm;
@@ -27,7 +28,7 @@ pub mod tns;
 
 pub use corrupt::{corrupt_matrix, Corruption};
 pub use generators::{
-    banded, dedup_coo, fem_like, power_law, random_uniform, skewed_tensor,
+    banded, dedup_coo, fem_like, power_law, random_uniform, shuffle_perm, skewed_tensor,
     spread_offsets, stencil5, stencil7,
 };
 pub use mm::{read_matrix_market, write_matrix_market, MmError};

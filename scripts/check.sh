@@ -37,7 +37,12 @@ cargo test -q -p sparse-engine --test observability
 cargo test -q -p sparse-engine --test concurrency
 
 echo "==> differential suite (kernel/interpreter bit-identity)"
+# Kernel level: every registered kernel against the interpreter. Engine
+# level: all 37 catalog pairs through default engines under Backend::Auto
+# and Backend::InterpreterOnly, against the container references — the
+# evidence the default engine's kernel gate rests on.
 cargo test -q -p sparse-synthesis --test differential
+cargo test -q -p sparse-engine --test differential
 cargo test -q -p sparse-engine --test backend
 
 echo "==> cargo run --release --example lint_descriptor (static-analysis gate)"
