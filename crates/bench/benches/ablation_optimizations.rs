@@ -10,9 +10,9 @@
 //! design choice in isolation).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sparse_formats::descriptors;
+use sparse_formats::{descriptors, MatrixRef};
 use sparse_matgen::suite::table3_suite;
-use sparse_synthesis::{run as synth_run, Conversion, SynthesisOptions};
+use sparse_synthesis::{bind_matrix, Conversion, SynthesisOptions};
 use spf_codegen::runtime::RtEnv;
 
 const SCALE: usize = 256;
@@ -32,7 +32,7 @@ fn ablation_csr(c: &mut Criterion) {
             let conv =
                 Conversion::new(&descriptors::scoo(), &descriptors::csr(), opts).unwrap();
             let mut env = RtEnv::new();
-            synth_run::bind_coo(&mut env, &conv.synth.src, &coo).unwrap();
+            bind_matrix(&mut env, &conv.synth.src, MatrixRef::Coo(&coo)).unwrap();
             group.bench_with_input(BenchmarkId::new(label, spec.name), &(), |b, ()| {
                 b.iter(|| conv.execute_env(&mut env).unwrap())
             });
@@ -56,7 +56,7 @@ fn ablation_dia_search(c: &mut Criterion) {
             let conv =
                 Conversion::new(&descriptors::scoo(), &descriptors::dia(), opts).unwrap();
             let mut env = RtEnv::new();
-            synth_run::bind_coo(&mut env, &conv.synth.src, &coo).unwrap();
+            bind_matrix(&mut env, &conv.synth.src, MatrixRef::Coo(&coo)).unwrap();
             group.bench_with_input(BenchmarkId::new(label, spec.name), &(), |b, ()| {
                 b.iter(|| conv.execute_env(&mut env).unwrap())
             });
@@ -80,7 +80,7 @@ fn ablation_executor(c: &mut Criterion) {
     let comp = executor::spmv(&descriptors::csr()).unwrap();
     let compiled = comp.lower().unwrap();
     let mut env = RtEnv::new();
-    synth_run::bind_csr(&mut env, &descriptors::csr(), &csr).unwrap();
+    bind_matrix(&mut env, &descriptors::csr(), MatrixRef::Csr(&csr)).unwrap();
     env.data.insert(executor::names::X.to_string(), x.clone().into());
 
     let mut group = c.benchmark_group("ablation_executor_spmv");

@@ -5,9 +5,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sparse_baselines::{fig2, Library};
 use sparse_bench::{build_conversion, Fig2Kind};
-use sparse_formats::CsrMatrix;
+use sparse_formats::{CsrMatrix, MatrixRef};
 use sparse_matgen::suite::table3_suite;
-use sparse_synthesis::run as synth_run;
+use sparse_synthesis::bind_matrix;
 use spf_codegen::runtime::RtEnv;
 
 const SCALE: usize = 256;
@@ -40,10 +40,11 @@ fn bench_kind(c: &mut Criterion, kind: Fig2Kind, group_name: &str) {
 
         // Synthesized.
         let mut env = RtEnv::new();
-        match (&csr, kind) {
-            (Some(m), Fig2Kind::CsrToCsc) => synth_run::bind_csr(&mut env, &conv.synth.src, m).unwrap(),
-            _ => synth_run::bind_coo(&mut env, &conv.synth.src, &coo).unwrap(),
-        }
+        let input = match &csr {
+            Some(m) => MatrixRef::Csr(m),
+            None => MatrixRef::Coo(&coo),
+        };
+        bind_matrix(&mut env, &conv.synth.src, input).unwrap();
         group.bench_with_input(
             BenchmarkId::new("synthesized", spec.name),
             &(),

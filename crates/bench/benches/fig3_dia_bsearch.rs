@@ -5,7 +5,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sparse_bench::{build_conversion, Fig2Kind};
 use sparse_matgen::suite::table3_suite;
-use sparse_synthesis::run as synth_run;
+use sparse_formats::MatrixRef;
+use sparse_synthesis::bind_matrix;
 use spf_codegen::runtime::RtEnv;
 
 const SCALE: usize = 256;
@@ -21,7 +22,7 @@ fn fig3(c: &mut Criterion) {
         let coo = spec.generate(SCALE);
         for (label, conv) in [("linear", &linear), ("binary", &binary)] {
             let mut env = RtEnv::new();
-            synth_run::bind_coo(&mut env, &conv.synth.src, &coo).unwrap();
+            bind_matrix(&mut env, &conv.synth.src, MatrixRef::Coo(&coo)).unwrap();
             group.bench_with_input(
                 BenchmarkId::new(label, spec.name),
                 &(),

@@ -3,9 +3,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sparse_baselines::hicoo_morton_sort3;
-use sparse_formats::descriptors;
+use sparse_formats::{descriptors, TensorRef};
 use sparse_matgen::suite::table4_suite;
-use sparse_synthesis::{run as synth_run, Conversion, SynthesisOptions};
+use sparse_synthesis::{bind_tensor, Conversion, SynthesisOptions};
 use spf_codegen::runtime::RtEnv;
 
 const SCALE: usize = 4096;
@@ -24,7 +24,7 @@ fn table4(c: &mut Criterion) {
             b.iter(|| std::hint::black_box(hicoo_morton_sort3(&t, 7).nnz()))
         });
         let mut env = RtEnv::new();
-        synth_run::bind_coo3(&mut env, &conv.synth.src, &t).unwrap();
+        bind_tensor(&mut env, &conv.synth.src, TensorRef::Coo3(&t)).unwrap();
         group.bench_with_input(BenchmarkId::new("synthesized", spec.name), &(), |b, ()| {
             b.iter(|| conv.execute_env(&mut env).unwrap())
         });

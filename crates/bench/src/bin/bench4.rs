@@ -17,13 +17,14 @@
 
 use std::fmt::Write as _;
 
-use sparse_bench::{run_matrix_bare, run_tensor_bare, time_min};
+use sparse_bench::{run_bare, time_min};
 use sparse_formats::descriptors;
 use sparse_formats::{
     AnyMatrix, AnyTensor, CooMatrix, CscMatrix, CsrMatrix, FormatDescriptor, MortonCooMatrix,
 };
 use sparse_matgen::generators::{random_uniform, shuffle_perm, skewed_tensor};
-use sparse_synthesis::{Conversion, SynthesisOptions};
+use sparse_engine::NoopSubscriber;
+use sparse_synthesis::{Conversion, Operand, SynthesisOptions};
 
 struct Args {
     n: usize,
@@ -104,6 +105,49 @@ impl Row {
     }
 }
 
+/// Times one kernel-backed pair on `input`: the instrumented interpreter,
+/// the uninstrumented one, and the native kernel (minima over `reps`).
+/// Returns the row and the two interpreter times for the overhead gate.
+fn measure<'a, I: Operand<'a>>(
+    src: &FormatDescriptor,
+    dst: &FormatDescriptor,
+    input: I,
+    reps: usize,
+) -> (Row, f64, f64) {
+    let pair = format!("{} -> {}", src.name, dst.name);
+    let conv = Conversion::new(src, dst, SynthesisOptions::default())
+        .unwrap_or_else(|e| panic!("{pair}: synthesis failed: {e}"));
+    assert!(conv.has_kernel(), "{pair}: no registered kernel");
+    let nnz = input.nnz();
+
+    // One untimed warmup so the first timed section doesn't absorb
+    // allocator/page-fault startup and skew the overhead gate.
+    conv.run(input, false, 0, &NoopSubscriber).unwrap();
+    let interp = time_min(reps, || {
+        conv.run(input, false, 0, &NoopSubscriber).unwrap();
+    });
+    let bare = time_min(reps, || {
+        run_bare(&conv, input);
+    });
+    let kernel = time_min(reps, || {
+        input.kernel(&conv).unwrap().unwrap();
+    });
+    let row = Row {
+        pair,
+        nnz,
+        interp_ns: interp * 1e9 / nnz as f64,
+        kernel_ns: kernel * 1e9 / nnz as f64,
+    };
+    eprintln!(
+        "  {:<18} interp {:>8.2} ns/nnz   kernel {:>8.2} ns/nnz   {:>6.2}x",
+        row.pair,
+        row.interp_ns,
+        row.kernel_ns,
+        row.speedup()
+    );
+    (row, interp, bare)
+}
+
 fn main() {
     let args = parse_args();
     let base = random_uniform(args.n, args.n, args.nnz, 42);
@@ -115,18 +159,19 @@ fn main() {
         args.reps
     );
 
+    // The interpreter timings run through the *instrumented* path
+    // (`Conversion::run` with a `NoopSubscriber`); the totals pin its
+    // overhead against the uninstrumented stats-free path (`run_bare`)
+    // across every pair.
     let mut rows: Vec<Row> = Vec::new();
-    // The interpreter timings below run through the *instrumented* path
-    // (`run_matrix_quiet` = `run_matrix_observed` + `NoopSubscriber`);
-    // the totals pin its overhead against the uninstrumented stats-free
-    // path (`run_matrix_bare`) across every pair.
     let mut quiet_total = 0.0f64;
     let mut bare_total = 0.0f64;
+    let mut record = |(row, interp, bare): (Row, f64, f64)| {
+        quiet_total += interp;
+        bare_total += bare;
+        rows.push(row);
+    };
     for (kind, src, dst) in matrix_pairs() {
-        let pair = format!("{} -> {}", src.name, dst.name);
-        let conv = Conversion::new(&src, &dst, SynthesisOptions::default())
-            .unwrap_or_else(|e| panic!("{pair}: synthesis failed: {e}"));
-        assert!(conv.has_kernel(), "{pair}: no registered kernel");
         let input = match kind {
             Src::Unsorted => AnyMatrix::Coo(shuffled(base.clone(), 7)),
             Src::Sorted => AnyMatrix::Coo(base.clone()),
@@ -134,36 +179,7 @@ fn main() {
             Src::Csr => AnyMatrix::Csr(CsrMatrix::from_coo(&base)),
             Src::Csc => AnyMatrix::Csc(CscMatrix::from_coo(&base)),
         };
-        let nnz = input.nnz();
-
-        // One untimed warmup so the first timed section doesn't absorb
-        // allocator/page-fault startup and skew the overhead gate.
-        conv.run_matrix_quiet(input.as_ref()).unwrap();
-        let interp = time_min(args.reps, || {
-            conv.run_matrix_quiet(input.as_ref()).unwrap();
-        });
-        let bare = time_min(args.reps, || {
-            run_matrix_bare(&conv, &input);
-        });
-        quiet_total += interp;
-        bare_total += bare;
-        let kernel = time_min(args.reps, || {
-            conv.run_matrix_kernel(input.as_ref()).unwrap().unwrap();
-        });
-        let row = Row {
-            pair,
-            nnz,
-            interp_ns: interp * 1e9 / nnz as f64,
-            kernel_ns: kernel * 1e9 / nnz as f64,
-        };
-        eprintln!(
-            "  {:<18} interp {:>8.2} ns/nnz   kernel {:>8.2} ns/nnz   {:>6.2}x",
-            row.pair,
-            row.interp_ns,
-            row.kernel_ns,
-            row.speedup()
-        );
-        rows.push(row);
+        record(measure(&src, &dst, input.as_ref(), args.reps));
     }
 
     // Tensor pairs: same matgen scale in three modes.
@@ -175,37 +191,7 @@ fn main() {
         (descriptors::coo3(), descriptors::mcoo3(), AnyTensor::Coo3(t)),
         (descriptors::scoo3(), descriptors::mcoo3(), AnyTensor::Coo3(sorted)),
     ] {
-        let pair = format!("{} -> {}", src.name, dst.name);
-        let conv = Conversion::new(&src, &dst, SynthesisOptions::default())
-            .unwrap_or_else(|e| panic!("{pair}: synthesis failed: {e}"));
-        assert!(conv.has_kernel(), "{pair}: no registered kernel");
-        let nnz = input.nnz();
-        conv.run_tensor_quiet(input.as_ref()).unwrap();
-        let interp = time_min(args.reps, || {
-            conv.run_tensor_quiet(input.as_ref()).unwrap();
-        });
-        let bare = time_min(args.reps, || {
-            run_tensor_bare(&conv, &input);
-        });
-        quiet_total += interp;
-        bare_total += bare;
-        let kernel = time_min(args.reps, || {
-            conv.run_tensor_kernel(input.as_ref()).unwrap().unwrap();
-        });
-        let row = Row {
-            pair,
-            nnz,
-            interp_ns: interp * 1e9 / nnz as f64,
-            kernel_ns: kernel * 1e9 / nnz as f64,
-        };
-        eprintln!(
-            "  {:<18} interp {:>8.2} ns/nnz   kernel {:>8.2} ns/nnz   {:>6.2}x",
-            row.pair,
-            row.interp_ns,
-            row.kernel_ns,
-            row.speedup()
-        );
-        rows.push(row);
+        record(measure(&src, &dst, input.as_ref(), args.reps));
     }
 
     let at_least_3x = rows.iter().filter(|r| r.speedup() >= 3.0).count();

@@ -24,12 +24,9 @@
 use std::time::Instant;
 
 use sparse_baselines::{fig2, hicoo_morton_sort3, Library};
-use sparse_formats::{descriptors, AnyMatrix, AnyTensor, Coo3Tensor, CooMatrix, CsrMatrix};
+use sparse_formats::{descriptors, Coo3Tensor, CooMatrix, CsrMatrix, MatrixRef, TensorRef};
 use sparse_matgen::suite::{table3_suite, table4_suite, MatrixSpec};
-use sparse_synthesis::{
-    bind_matrix, bind_tensor, extract_matrix, extract_tensor, run as synth_run, Conversion,
-    SynthesisOptions,
-};
+use sparse_synthesis::{bind_matrix, bind_tensor, Conversion, Operand, SynthesisOptions};
 use spf_codegen::runtime::RtEnv;
 
 /// One matrix row of a Figure-2 style experiment (times in seconds).
@@ -69,34 +66,20 @@ pub fn time_min(reps: usize, mut f: impl FnMut()) -> f64 {
     best
 }
 
-/// Runs a matrix conversion with no instrumentation at all: bind, the
-/// stats-free interpreter (`execute_env_quiet`) and extract, with no stage
-/// timers or spans. The baseline the observability overhead gates compare
-/// the instrumented quiet path against, so that both sides skip
-/// `ExecStats`.
+/// Runs a conversion of either rank with no instrumentation at all:
+/// bind, the stats-free interpreter (`execute_env_quiet`) and extract,
+/// with no stage timers or spans. The baseline the observability
+/// overhead gates compare the instrumented [`Conversion::run`] against,
+/// so that both sides skip `ExecStats`.
 ///
 /// # Panics
 /// Panics when the conversion fails.
-pub fn run_matrix_bare(conv: &Conversion, m: &AnyMatrix) -> AnyMatrix {
-    let (nr, nc) = m.dims();
+pub fn run_bare<'a, I: Operand<'a>>(conv: &Conversion, input: I) -> I::Output {
     let mut env = RtEnv::new();
-    bind_matrix(&mut env, &conv.synth.src, m.into()).expect("source binds");
+    input.bind(&mut env, &conv.synth.src).expect("source binds");
     conv.execute_env_quiet(&mut env)
         .expect("synthesized conversion runs");
-    extract_matrix(&mut env, &conv.synth.dst, nr, nc).expect("destination extracts")
-}
-
-/// Tensor analogue of [`run_matrix_bare`].
-///
-/// # Panics
-/// Panics when the conversion fails.
-pub fn run_tensor_bare(conv: &Conversion, t: &AnyTensor) -> AnyTensor {
-    let dims = t.dims();
-    let mut env = RtEnv::new();
-    bind_tensor(&mut env, &conv.synth.src, t.into()).expect("source binds");
-    conv.execute_env_quiet(&mut env)
-        .expect("synthesized conversion runs");
-    extract_tensor(&mut env, &conv.synth.dst, dims).expect("destination extracts")
+    input.extract(&mut env, &conv.synth.dst).expect("destination extracts")
 }
 
 /// Geometric mean of `xs` (empty input gives NaN).
@@ -205,12 +188,11 @@ pub fn run_fig2(kind: Fig2Kind, scale: usize, reps: usize) -> Vec<Fig2Row> {
 
         // Synthesized side: bind once, time execution only.
         let mut env = RtEnv::new();
-        match (&csr, kind) {
-            (Some(c), Fig2Kind::CsrToCsc) => {
-                synth_run::bind_csr(&mut env, &conv.synth.src, c).unwrap()
-            }
-            _ => synth_run::bind_coo(&mut env, &conv.synth.src, &coo).unwrap(),
-        }
+        let input = match &csr {
+            Some(c) => MatrixRef::Csr(c),
+            None => MatrixRef::Coo(&coo),
+        };
+        bind_matrix(&mut env, &conv.synth.src, input).unwrap();
         let ours = time_min(reps, || {
             conv.execute_env(&mut env).expect("synthesized conversion runs");
         });
@@ -264,7 +246,7 @@ pub fn run_table4(scale: usize, reps: usize) -> Vec<Table4Row> {
             std::hint::black_box(out.nnz());
         });
         let mut env = RtEnv::new();
-        synth_run::bind_coo3(&mut env, &conv.synth.src, &t).unwrap();
+        bind_tensor(&mut env, &conv.synth.src, TensorRef::Coo3(&t)).unwrap();
         let ours = time_min(reps, || {
             conv.execute_env(&mut env).expect("synthesized reorder runs");
         });

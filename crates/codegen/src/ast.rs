@@ -92,9 +92,6 @@ pub enum Expr {
     Sub(Box<Expr>, Box<Expr>),
     /// `a * b`.
     Mul(Box<Expr>, Box<Expr>),
-    /// `a / b` (Euclidean floor division; used by loop unrolling and
-    /// tiling transforms).
-    Div(Box<Expr>, Box<Expr>),
     /// `min(a, b)`.
     Min(Box<Expr>, Box<Expr>),
     /// `max(a, b)`.
@@ -118,11 +115,6 @@ impl Expr {
     /// `a * b`.
     pub fn mul(a: Expr, b: Expr) -> Expr {
         Expr::Mul(Box::new(a), Box::new(b))
-    }
-
-    /// `a / b` (floor division).
-    pub fn div(a: Expr, b: Expr) -> Expr {
-        Expr::Div(Box::new(a), Box::new(b))
     }
 
     /// `min(a, b)`.
@@ -381,7 +373,6 @@ impl fmt::Display for Expr {
             Expr::Add(a, b) => write!(f, "({a} + {b})"),
             Expr::Sub(a, b) => write!(f, "({a} - {b})"),
             Expr::Mul(a, b) => write!(f, "({a} * {b})"),
-            Expr::Div(a, b) => write!(f, "({a} / {b})"),
             Expr::Min(a, b) => write!(f, "MIN({a}, {b})"),
             Expr::Max(a, b) => write!(f, "MAX({a}, {b})"),
         }

@@ -37,7 +37,6 @@ fn expr_str(e: &Expr, d: Dialect) -> String {
         (Expr::Add(a, b), _) => format!("({} + {})", expr_str(a, d), expr_str(b, d)),
         (Expr::Sub(a, b), _) => format!("({} - {})", expr_str(a, d), expr_str(b, d)),
         (Expr::Mul(a, b), _) => format!("({} * {})", expr_str(a, d), expr_str(b, d)),
-        (Expr::Div(a, b), _) => format!("({} / {})", expr_str(a, d), expr_str(b, d)),
         (Expr::Min(a, b), _) => format!("MIN({}, {})", expr_str(a, d), expr_str(b, d)),
         (Expr::Max(a, b), _) => format!("MAX({}, {})", expr_str(a, d), expr_str(b, d)),
         (other, _) => other.to_string(),

@@ -43,8 +43,6 @@ pub enum ExecError {
         /// Array length.
         len: usize,
     },
-    /// Division by zero in a generated expression.
-    DivByZero,
     /// Negative allocation size.
     BadAlloc {
         /// Array name.
@@ -69,7 +67,6 @@ impl fmt::Display for ExecError {
             ExecError::OobData { name, idx, len } => {
                 write!(f, "data array `{name}`[{idx}] out of bounds (len {len})")
             }
-            ExecError::DivByZero => write!(f, "division by zero"),
             ExecError::BadAlloc { name, size } => {
                 write!(f, "negative allocation of `{name}` ({size})")
             }
@@ -112,7 +109,6 @@ enum CExpr {
     Add(Box<CExpr>, Box<CExpr>),
     Sub(Box<CExpr>, Box<CExpr>),
     Mul(Box<CExpr>, Box<CExpr>),
-    Div(Box<CExpr>, Box<CExpr>),
     Min(Box<CExpr>, Box<CExpr>),
     Max(Box<CExpr>, Box<CExpr>),
 }
@@ -198,19 +194,15 @@ struct Compiler {
 
 impl Compiler {
     /// Builds a binary node, folding `Const op Const` at compile time so the
-    /// interpreter never revisits arithmetic on literals (`Div` folds only
-    /// when the divisor is nonzero — a literal division by zero must still
-    /// surface as a runtime [`ExecError::DivByZero`]).
+    /// interpreter never revisits arithmetic on literals.
     fn binary(
         a: CExpr,
         b: CExpr,
-        fold: fn(i64, i64) -> Option<i64>,
+        fold: fn(i64, i64) -> i64,
         build: fn(Box<CExpr>, Box<CExpr>) -> CExpr,
     ) -> CExpr {
         if let (CExpr::Const(x), CExpr::Const(y)) = (&a, &b) {
-            if let Some(v) = fold(*x, *y) {
-                return CExpr::Const(v);
-            }
+            return CExpr::Const(fold(*x, *y));
         }
         build(Box::new(a), Box::new(b))
     }
@@ -232,37 +224,31 @@ impl Compiler {
             Expr::Add(a, b) => Self::binary(
                 self.expr(a),
                 self.expr(b),
-                |x, y| Some(x.wrapping_add(y)),
+                |x, y| x.wrapping_add(y),
                 CExpr::Add,
             ),
             Expr::Sub(a, b) => Self::binary(
                 self.expr(a),
                 self.expr(b),
-                |x, y| Some(x.wrapping_sub(y)),
+                |x, y| x.wrapping_sub(y),
                 CExpr::Sub,
             ),
             Expr::Mul(a, b) => Self::binary(
                 self.expr(a),
                 self.expr(b),
-                |x, y| Some(x.wrapping_mul(y)),
+                |x, y| x.wrapping_mul(y),
                 CExpr::Mul,
-            ),
-            Expr::Div(a, b) => Self::binary(
-                self.expr(a),
-                self.expr(b),
-                |x, y| (y != 0).then(|| x.div_euclid(y)),
-                CExpr::Div,
             ),
             Expr::Min(a, b) => Self::binary(
                 self.expr(a),
                 self.expr(b),
-                |x, y| Some(x.min(y)),
+                |x, y| x.min(y),
                 CExpr::Min,
             ),
             Expr::Max(a, b) => Self::binary(
                 self.expr(a),
                 self.expr(b),
-                |x, y| Some(x.max(y)),
+                |x, y| x.max(y),
                 CExpr::Max,
             ),
         }
@@ -435,13 +421,6 @@ impl<'p, 'a, const STATS: bool> Machine<'p, 'a, STATS> {
             CExpr::Add(a, b) => self.eval(a)?.wrapping_add(self.eval(b)?),
             CExpr::Sub(a, b) => self.eval(a)?.wrapping_sub(self.eval(b)?),
             CExpr::Mul(a, b) => self.eval(a)?.wrapping_mul(self.eval(b)?),
-            CExpr::Div(a, b) => {
-                let d = self.eval(b)?;
-                if d == 0 {
-                    return Err(ExecError::DivByZero);
-                }
-                self.eval(a)?.div_euclid(d)
-            }
             CExpr::Min(a, b) => self.eval(a)?.min(self.eval(b)?),
             CExpr::Max(a, b) => self.eval(a)?.max(self.eval(b)?),
         })

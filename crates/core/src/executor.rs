@@ -127,8 +127,11 @@ pub fn ttv_mode2(desc: &FormatDescriptor) -> Result<Computation, SynthesisError>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run::{bind_matrix, bind_tensor};
     use sparse_formats::descriptors;
-    use sparse_formats::{Coo3Tensor, CooMatrix, CscMatrix, CsrMatrix, MortonCooMatrix};
+    use sparse_formats::{
+        Coo3Tensor, CooMatrix, CscMatrix, CsrMatrix, MatrixRef, MortonCooMatrix, TensorRef,
+    };
     use spf_codegen::runtime::RtEnv;
     use spf_computation::ComparatorRegistry;
 
@@ -155,7 +158,7 @@ mod tests {
         let coo = sample();
         let comp = spmv(&descriptors::scoo()).unwrap();
         let mut env = RtEnv::new();
-        crate::run::bind_coo(&mut env, &descriptors::scoo(), &coo).unwrap();
+        bind_matrix(&mut env, &descriptors::scoo(), MatrixRef::Coo(&coo)).unwrap();
         let x = [1.0, 2.0, 3.0, 4.0];
         assert_eq!(run_spmv(&comp, &mut env, &x), coo.spmv(&x));
     }
@@ -165,7 +168,7 @@ mod tests {
         let csr = CsrMatrix::from_coo(&sample());
         let comp = spmv(&descriptors::csr()).unwrap();
         let mut env = RtEnv::new();
-        crate::run::bind_csr(&mut env, &descriptors::csr(), &csr).unwrap();
+        bind_matrix(&mut env, &descriptors::csr(), MatrixRef::Csr(&csr)).unwrap();
         let x = [1.0, -1.0, 0.5, 2.0];
         assert_eq!(run_spmv(&comp, &mut env, &x), csr.spmv(&x));
     }
@@ -175,7 +178,7 @@ mod tests {
         let csc = CscMatrix::from_coo(&sample());
         let comp = spmv(&descriptors::csc()).unwrap();
         let mut env = RtEnv::new();
-        crate::run::bind_csc(&mut env, &descriptors::csc(), &csc).unwrap();
+        bind_matrix(&mut env, &descriptors::csc(), MatrixRef::Csc(&csc)).unwrap();
         let x = [2.0, 0.0, 1.0, -1.0];
         assert_eq!(run_spmv(&comp, &mut env, &x), csc.spmv(&x));
     }
@@ -187,7 +190,7 @@ mod tests {
         let m = MortonCooMatrix::from_coo(&sample());
         let comp = spmv(&descriptors::mcoo()).unwrap();
         let mut env = RtEnv::new();
-        crate::run::bind_coo(&mut env, &descriptors::mcoo(), &m.coo).unwrap();
+        bind_matrix(&mut env, &descriptors::mcoo(), MatrixRef::MortonCoo(&m)).unwrap();
         let x = [1.0, 2.0, 3.0, 4.0];
         assert_eq!(run_spmv(&comp, &mut env, &x), m.coo.spmv(&x));
     }
@@ -204,7 +207,7 @@ mod tests {
         .unwrap();
         let comp = ttv_mode2(&descriptors::scoo3()).unwrap();
         let mut env = RtEnv::new();
-        crate::run::bind_coo3(&mut env, &descriptors::scoo3(), &t).unwrap();
+        bind_tensor(&mut env, &descriptors::scoo3(), TensorRef::Coo3(&t)).unwrap();
         env.data.insert(names::X.into(), vec![1.0, 10.0, 100.0, 1000.0].into());
         let compiled = comp.lower().unwrap();
         compiled.execute(&mut env, &ComparatorRegistry::new()).unwrap();
@@ -229,7 +232,7 @@ mod tests {
         let desc = descriptors::dia_executable();
         let comp = spmv(&desc).unwrap();
         let mut env = RtEnv::new();
-        crate::run::bind_dia(&mut env, &desc, &dia).unwrap();
+        bind_matrix(&mut env, &desc, MatrixRef::Dia(&dia)).unwrap();
         let x = [1.0, -2.0, 3.0, 0.5];
         let got = run_spmv(&comp, &mut env, &x);
         let want = dia.spmv(&x);

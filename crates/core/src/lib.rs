@@ -16,10 +16,12 @@
 //!    copy — then optimizes it (redundancy removal, identity-permutation
 //!    elimination + dead-code elimination, loop fusion, optional binary
 //!    search per Figure 3),
-//! 3. [`run`] executes the compiled inspector on real containers.
+//! 3. [`run`] executes the compiled inspector on real containers of
+//!    either rank through one entry point, [`Conversion::run`].
 //!
 //! ```
-//! use sparse_formats::{descriptors, CooMatrix, CsrMatrix};
+//! use sparse_formats::{descriptors, AnyMatrix, CooMatrix, CsrMatrix, MatrixRef};
+//! use sparse_obs::NoopSubscriber;
 //! use sparse_synthesis::{Conversion, SynthesisOptions};
 //!
 //! // The paper's headline experiment: sorted COO -> CSR.
@@ -34,13 +36,15 @@
 //!
 //! let coo = CooMatrix::from_triplets(
 //!     3, 3, vec![0, 0, 2], vec![0, 2, 1], vec![1.0, 2.0, 3.0]).unwrap();
-//! let (csr, _stats) = conv.run_coo_to_csr(&coo).unwrap();
-//! assert_eq!(csr, CsrMatrix::from_coo(&coo));
+//! // Validate the input (`check = true`), then bind, run and extract.
+//! let csr = conv.run(MatrixRef::Coo(&coo), true, 0, &NoopSubscriber).unwrap();
+//! assert_eq!(csr, AnyMatrix::Csr(CsrMatrix::from_coo(&coo)));
 //! ```
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+mod admission;
 pub mod analysis;
 pub mod executor;
 pub mod kernels;
@@ -51,7 +55,7 @@ pub use analysis::{analyze_destination, AnalysisError, DstAnalysis, DstVarKind};
 pub use executor::{spmv, ttv_mode2};
 pub use kernels::{KernelRegistry, MatrixKernelFn, TensorKernelFn};
 pub use run::{
-    bind_matrix, bind_tensor, extract_matrix, extract_tensor, Conversion, RunError,
+    bind_matrix, bind_tensor, extract_matrix, extract_tensor, Conversion, Operand, RunError,
 };
 pub use synthesize::{
     synthesize, PermutationKind, SynthesisError, SynthesisOptions,

@@ -1,7 +1,8 @@
 //! Executing synthesized conversions on real tensors: binding runtime
 //! containers into the interpreter environment by their descriptor's UF
 //! names, running the compiled inspector, and extracting the destination
-//! container.
+//! container. [`Conversion::run`] is the one entry point for both ranks;
+//! the [`Operand`] trait carries what differs between them.
 
 use std::borrow::Cow;
 use std::fmt;
@@ -170,8 +171,8 @@ impl Conversion {
     /// verified plan does. An `Err` from the kernel (including its own
     /// decline on inputs whose semantics it cannot reproduce, e.g.
     /// duplicate coordinates) means the caller should fall back to
-    /// [`Conversion::run_matrix_quiet`]; it never means the conversion
-    /// itself is impossible.
+    /// [`Conversion::run`]; it never means the conversion itself is
+    /// impossible.
     pub fn run_matrix_kernel<'a>(
         &self,
         m: impl Into<MatrixRef<'a>>,
@@ -246,100 +247,45 @@ impl Conversion {
         Ok(self.compiled.execute_quiet(env, &self.comparators)?)
     }
 
-    /// Binds a COO matrix as the conversion source (zero-copy: the
-    /// matrix's arrays enter the environment borrowed).
-    ///
-    /// # Errors
-    /// Returns [`RunError::Descriptor`] if the source descriptor lacks
-    /// the coordinate UFs a COO binding needs.
-    pub fn bind_coo_source<'a>(
-        &self,
-        env: &mut RtEnv<'a>,
-        m: &'a CooMatrix,
-    ) -> Result<(), RunError> {
-        bind_coo(env, &self.synth.src, m)
-    }
-
-    /// Converts any rank-2 matrix: validates `m` against the *source*
-    /// descriptor's quantifier obligations, binds it under the source
-    /// descriptor's names, runs the inspector, and extracts the container
-    /// the *destination* descriptor's [`FormatKind`] calls for. This is
-    /// the one dispatch path every `run_x_to_y` shim (and the engine's
-    /// `convert`) goes through.
+    /// Converts one input of either rank: optionally validates it
+    /// against the *source* descriptor's quantifier obligations, binds it
+    /// under the source descriptor's names, runs the inspector with
+    /// [`ExecStats`] counting compiled out, and extracts the container the
+    /// *destination* descriptor's [`FormatKind`] calls for. This is the
+    /// one interpreter path: whenever the engine's `convert`,
+    /// `convert_tensor` or a batch item interprets, it runs this.
     ///
     /// Inputs are untrusted: the static verifier only proves the plan
-    /// correct *assuming* the source obligations hold, so they are
-    /// established here first (see `sparse_formats::validate`). Use
-    /// [`Conversion::run_matrix_unchecked`] to skip the `O(nnz)`
-    /// validation sweep for inputs already known valid.
+    /// correct *assuming* the source obligations hold, so `check`
+    /// establishes them first (see `sparse_formats::validate`). Pass
+    /// `check = false` only for inputs already known valid (e.g. just
+    /// validated by the caller, or produced by a validated conversion);
+    /// on inputs that are not, the inspector may return a typed execution
+    /// error or silently produce garbage.
+    ///
+    /// The `interp` and `extract` stages are reported to `obs` as spans
+    /// keyed by `pair` (the caller's plan fingerprint; `0` when there is
+    /// none). A [`sparse_obs::NoopSubscriber`] observes nothing. Callers
+    /// that need [`ExecStats`] compose [`bind_matrix`] →
+    /// [`Conversion::execute_env`] → [`extract_matrix`] themselves.
     ///
     /// # Errors
-    /// Returns [`RunError::InvalidInput`] on a violated obligation; fails
-    /// when `m`'s container does not match the source descriptor, when
-    /// either kind has no dispatch rule, and on execution or output
-    /// validation failures.
-    pub fn run_matrix<'a>(
+    /// Returns [`RunError::InvalidInput`] on a violated obligation (only
+    /// when `check`); fails when the container does not match the source
+    /// descriptor, when either kind has no dispatch rule, and on execution
+    /// or output validation failures.
+    pub fn run<'a, I: Operand<'a>>(
         &self,
-        m: impl Into<MatrixRef<'a>>,
-    ) -> Result<(AnyMatrix, ExecStats), RunError> {
-        let m = m.into();
-        sparse_formats::validate_matrix(&self.synth.src, m)?;
-        self.run_matrix_unchecked(m)
-    }
-
-    /// [`Conversion::run_matrix`] without the input-validation sweep: the
-    /// caller asserts `m` satisfies the source descriptor's obligations
-    /// (e.g. it was just produced by a validated conversion). On inputs
-    /// that don't, the inspector may return a typed execution error or
-    /// silently produce garbage — it will not have its preconditions.
-    ///
-    /// # Errors
-    /// Same contract as [`Conversion::run_matrix`], minus
-    /// [`RunError::InvalidInput`].
-    pub fn run_matrix_unchecked<'a>(
-        &self,
-        m: impl Into<MatrixRef<'a>>,
-    ) -> Result<(AnyMatrix, ExecStats), RunError> {
-        let m = m.into();
-        let (nr, nc) = m.dims();
-        let mut env = RtEnv::new();
-        bind_matrix(&mut env, &self.synth.src, m)?;
-        let stats = self.execute_env(&mut env)?;
-        let out = extract_matrix(&mut env, &self.synth.dst, nr, nc)?;
-        Ok((out, stats))
-    }
-
-    /// [`Conversion::run_matrix_unchecked`] with interpreter statistics
-    /// compiled out: the engine's interpreter hot path. Same conversion
-    /// semantics; only the [`ExecStats`] counters are dropped.
-    ///
-    /// # Errors
-    /// Same contract as [`Conversion::run_matrix_unchecked`].
-    pub fn run_matrix_quiet<'a>(
-        &self,
-        m: impl Into<MatrixRef<'a>>,
-    ) -> Result<AnyMatrix, RunError> {
-        self.run_matrix_observed(m, 0, &sparse_obs::NoopSubscriber)
-    }
-
-    /// [`Conversion::run_matrix_quiet`] emitting `interp` and `extract`
-    /// stage spans into `obs` (keyed by the caller's `pair` plan
-    /// fingerprint). This is the engine's instrumented interpreter path;
-    /// a [`sparse_obs::NoopSubscriber`] makes it behaviorally identical
-    /// to the quiet variant.
-    ///
-    /// # Errors
-    /// Same contract as [`Conversion::run_matrix_unchecked`].
-    pub fn run_matrix_observed<'a>(
-        &self,
-        m: impl Into<MatrixRef<'a>>,
+        input: I,
+        check: bool,
         pair: u64,
         obs: &dyn Subscriber,
-    ) -> Result<AnyMatrix, RunError> {
-        let m = m.into();
-        let (nr, nc) = m.dims();
+    ) -> Result<I::Output, RunError> {
+        if check {
+            input.validate(&self.synth.src)?;
+        }
         let mut env = RtEnv::new();
-        bind_matrix(&mut env, &self.synth.src, m)?;
+        input.bind(&mut env, &self.synth.src)?;
         let t0 = Instant::now();
         let executed = self.execute_env_quiet(&mut env);
         obs.span(Span {
@@ -350,7 +296,7 @@ impl Conversion {
         });
         executed?;
         let t1 = Instant::now();
-        let out = extract_matrix(&mut env, &self.synth.dst, nr, nc);
+        let out = input.extract(&mut env, &self.synth.dst);
         obs.span(Span {
             stage: Stage::Extract,
             pair,
@@ -359,235 +305,113 @@ impl Conversion {
         });
         out
     }
+}
 
-    /// Converts any order-3 tensor; the tensor analogue of
-    /// [`Conversion::run_matrix`] (input validated first).
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for sparse_formats::MatrixRef<'_> {}
+    impl Sealed for sparse_formats::TensorRef<'_> {}
+}
+
+/// A borrowed conversion input of either rank: [`MatrixRef`] (rank 2) or
+/// [`TensorRef`] (order 3). The per-rank steps of a conversion —
+/// validation, admission estimate, native kernel, bind, extract — sit
+/// behind this one trait, so [`Conversion::run`] and the engine's
+/// execution path are written once and monomorphised per rank.
+///
+/// Sealed: the two shipped views are the only implementations.
+pub trait Operand<'a>: Copy + sealed::Sealed {
+    /// The owned container a conversion of this rank produces.
+    type Output;
+
+    /// Stored-entry count (occupied slots for DIA and ELL, not padding).
+    fn nnz(self) -> usize;
+
+    /// Checks the source descriptor's quantifier obligations.
     ///
     /// # Errors
-    /// Same contract as [`Conversion::run_matrix`].
-    pub fn run_tensor<'a>(
-        &self,
-        t: impl Into<TensorRef<'a>>,
-    ) -> Result<(AnyTensor, ExecStats), RunError> {
-        let t = t.into();
-        sparse_formats::validate_tensor(&self.synth.src, t)?;
-        self.run_tensor_unchecked(t)
+    /// Names the failed check on the first violation.
+    fn validate(self, src: &FormatDescriptor) -> Result<(), ValidationError>;
+
+    /// Estimated resident bytes of the container `dst`'s kind would
+    /// materialize for this input, with a short label for error messages.
+    /// A lower bound computed in one `O(nnz)` pass that is total on
+    /// corrupt containers (see the `admission` module).
+    fn estimate_output_bytes(self, dst: &FormatDescriptor) -> (&'static str, u64);
+
+    /// Runs `conv`'s native kernel of this rank, or `None` when none is
+    /// registered (see [`Conversion::run_matrix_kernel`]).
+    fn kernel(self, conv: &Conversion) -> Option<Result<Self::Output, RunError>>;
+
+    /// Binds this input under the source descriptor's names (zero-copy).
+    ///
+    /// # Errors
+    /// Fails on a kind/container mismatch or a malformed descriptor.
+    fn bind(self, env: &mut RtEnv<'a>, src: &FormatDescriptor) -> Result<(), RunError>;
+
+    /// Extracts the destination container, with this input's dimensions,
+    /// from an environment the inspector has run in.
+    ///
+    /// # Errors
+    /// Fails on missing outputs, invariant violations, or a destination
+    /// kind with no extractor.
+    fn extract(self, env: &mut RtEnv<'_>, dst: &FormatDescriptor) -> Result<Self::Output, RunError>;
+}
+
+impl<'a> Operand<'a> for MatrixRef<'a> {
+    type Output = AnyMatrix;
+
+    fn nnz(self) -> usize {
+        MatrixRef::nnz(&self)
     }
 
-    /// [`Conversion::run_tensor`] without the input-validation sweep;
-    /// tensor analogue of [`Conversion::run_matrix_unchecked`].
-    ///
-    /// # Errors
-    /// Same contract as [`Conversion::run_tensor`], minus
-    /// [`RunError::InvalidInput`].
-    pub fn run_tensor_unchecked<'a>(
-        &self,
-        t: impl Into<TensorRef<'a>>,
-    ) -> Result<(AnyTensor, ExecStats), RunError> {
-        let t = t.into();
-        let dims = t.dims();
-        let mut env = RtEnv::new();
-        bind_tensor(&mut env, &self.synth.src, t)?;
-        let stats = self.execute_env(&mut env)?;
-        let out = extract_tensor(&mut env, &self.synth.dst, dims)?;
-        Ok((out, stats))
+    fn validate(self, src: &FormatDescriptor) -> Result<(), ValidationError> {
+        sparse_formats::validate_matrix(src, self)
     }
 
-    /// Order-3 analogue of [`Conversion::run_matrix_quiet`].
-    ///
-    /// # Errors
-    /// Same contract as [`Conversion::run_tensor_unchecked`].
-    pub fn run_tensor_quiet<'a>(
-        &self,
-        t: impl Into<TensorRef<'a>>,
-    ) -> Result<AnyTensor, RunError> {
-        self.run_tensor_observed(t, 0, &sparse_obs::NoopSubscriber)
+    fn estimate_output_bytes(self, dst: &FormatDescriptor) -> (&'static str, u64) {
+        crate::admission::estimate_matrix_output_bytes(dst, self)
     }
 
-    /// Order-3 analogue of [`Conversion::run_matrix_observed`].
-    ///
-    /// # Errors
-    /// Same contract as [`Conversion::run_tensor_unchecked`].
-    pub fn run_tensor_observed<'a>(
-        &self,
-        t: impl Into<TensorRef<'a>>,
-        pair: u64,
-        obs: &dyn Subscriber,
-    ) -> Result<AnyTensor, RunError> {
-        let t = t.into();
-        let dims = t.dims();
-        let mut env = RtEnv::new();
-        bind_tensor(&mut env, &self.synth.src, t)?;
-        let t0 = Instant::now();
-        let executed = self.execute_env_quiet(&mut env);
-        obs.span(Span {
-            stage: Stage::Interp,
-            pair,
-            nanos: t0.elapsed().as_nanos() as u64,
-            ok: executed.is_ok(),
-        });
-        executed?;
-        let t1 = Instant::now();
-        let out = extract_tensor(&mut env, &self.synth.dst, dims);
-        obs.span(Span {
-            stage: Stage::Extract,
-            pair,
-            nanos: t1.elapsed().as_nanos() as u64,
-            ok: out.is_ok(),
-        });
-        out
+    fn kernel(self, conv: &Conversion) -> Option<Result<AnyMatrix, RunError>> {
+        conv.run_matrix_kernel(self)
     }
 
-    /// Converts a COO matrix to CSR (destination descriptor must be
-    /// CSR-shaped).
-    ///
-    /// # Errors
-    /// Propagates execution errors and output validation failures.
-    pub fn run_coo_to_csr(&self, m: &CooMatrix) -> Result<(CsrMatrix, ExecStats), RunError> {
-        let (out, stats) = self.run_matrix(m)?;
-        Ok((expect_csr(out)?, stats))
+    fn bind(self, env: &mut RtEnv<'a>, src: &FormatDescriptor) -> Result<(), RunError> {
+        bind_matrix(env, src, self)
     }
 
-    /// Converts a COO matrix to CSC.
-    ///
-    /// # Errors
-    /// Propagates execution errors and output validation failures.
-    pub fn run_coo_to_csc(&self, m: &CooMatrix) -> Result<(CscMatrix, ExecStats), RunError> {
-        let (out, stats) = self.run_matrix(m)?;
-        Ok((expect_csc(out)?, stats))
-    }
-
-    /// Converts a CSR matrix to CSC.
-    ///
-    /// # Errors
-    /// Propagates execution errors and output validation failures.
-    pub fn run_csr_to_csc(&self, m: &CsrMatrix) -> Result<(CscMatrix, ExecStats), RunError> {
-        let (out, stats) = self.run_matrix(m)?;
-        Ok((expect_csc(out)?, stats))
-    }
-
-    /// Converts a CSR matrix to COO.
-    ///
-    /// # Errors
-    /// Propagates execution errors and output validation failures.
-    pub fn run_csr_to_coo(&self, m: &CsrMatrix) -> Result<(CooMatrix, ExecStats), RunError> {
-        let (out, stats) = self.run_matrix(m)?;
-        Ok((expect_coo(out)?, stats))
-    }
-
-    /// Converts a COO matrix to DIA.
-    ///
-    /// # Errors
-    /// Propagates execution errors and output validation failures.
-    pub fn run_coo_to_dia(&self, m: &CooMatrix) -> Result<(DiaMatrix, ExecStats), RunError> {
-        let (out, stats) = self.run_matrix(m)?;
-        match out {
-            AnyMatrix::Dia(d) => Ok((d, stats)),
-            other => Err(unexpected_output("dia", other.label())),
-        }
-    }
-
-    /// Converts a COO matrix to Morton-ordered COO.
-    ///
-    /// # Errors
-    /// Propagates execution errors and output validation failures.
-    pub fn run_coo_to_mcoo(
-        &self,
-        m: &CooMatrix,
-    ) -> Result<(MortonCooMatrix, ExecStats), RunError> {
-        let (out, stats) = self.run_matrix(m)?;
-        match out {
-            AnyMatrix::MortonCoo(mc) => Ok((mc, stats)),
-            other => Err(unexpected_output("mcoo", other.label())),
-        }
-    }
-
-    /// Converts a COO matrix to sorted COO (row-major).
-    ///
-    /// # Errors
-    /// Propagates execution errors and output validation failures.
-    pub fn run_coo_to_scoo(&self, m: &CooMatrix) -> Result<(CooMatrix, ExecStats), RunError> {
-        let (out, stats) = self.run_matrix(m)?;
-        Ok((expect_coo(out)?, stats))
-    }
-
-    /// Converts a CSC matrix to CSR.
-    ///
-    /// # Errors
-    /// Propagates execution errors and output validation failures.
-    pub fn run_csc_to_csr(&self, m: &CscMatrix) -> Result<(CsrMatrix, ExecStats), RunError> {
-        let (out, stats) = self.run_matrix(m)?;
-        Ok((expect_csr(out)?, stats))
-    }
-
-    /// Converts a CSC matrix to COO (kept in the source's column-major
-    /// order).
-    ///
-    /// # Errors
-    /// Propagates execution errors and output validation failures.
-    pub fn run_csc_to_coo(&self, m: &CscMatrix) -> Result<(CooMatrix, ExecStats), RunError> {
-        let (out, stats) = self.run_matrix(m)?;
-        Ok((expect_coo(out)?, stats))
-    }
-
-    /// Converts an ELL matrix to CSR (compacting the padding).
-    ///
-    /// # Errors
-    /// Propagates execution errors and output validation failures.
-    pub fn run_ell_to_csr(&self, m: &EllMatrix) -> Result<(CsrMatrix, ExecStats), RunError> {
-        let (out, stats) = self.run_matrix(m)?;
-        Ok((expect_csr(out)?, stats))
-    }
-
-    /// Converts an ELL matrix to COO.
-    ///
-    /// # Errors
-    /// Propagates execution errors and output validation failures.
-    pub fn run_ell_to_coo(&self, m: &EllMatrix) -> Result<(CooMatrix, ExecStats), RunError> {
-        let (out, stats) = self.run_matrix(m)?;
-        Ok((expect_coo(out)?, stats))
-    }
-
-    /// Converts an order-3 COO tensor to Morton-ordered COO3.
-    ///
-    /// # Errors
-    /// Propagates execution errors and output validation failures.
-    pub fn run_coo3_to_mcoo3(
-        &self,
-        t: &Coo3Tensor,
-    ) -> Result<(MortonCoo3Tensor, ExecStats), RunError> {
-        let (out, stats) = self.run_tensor(t)?;
-        match out {
-            AnyTensor::MortonCoo3(mt) => Ok((mt, stats)),
-            AnyTensor::Coo3(_) => Err(unexpected_output("mcoo3", "coo3")),
-        }
+    fn extract(self, env: &mut RtEnv<'_>, dst: &FormatDescriptor) -> Result<AnyMatrix, RunError> {
+        let (nr, nc) = self.dims();
+        extract_matrix(env, dst, nr, nc)
     }
 }
 
-fn unexpected_output(wanted: &str, got: &str) -> RunError {
-    RunError::Unsupported(format!(
-        "destination descriptor produced `{got}`, caller expected `{wanted}`"
-    ))
-}
+impl<'a> Operand<'a> for TensorRef<'a> {
+    type Output = AnyTensor;
 
-fn expect_coo(out: AnyMatrix) -> Result<CooMatrix, RunError> {
-    match out {
-        AnyMatrix::Coo(m) => Ok(m),
-        other => Err(unexpected_output("coo", other.label())),
+    fn nnz(self) -> usize {
+        TensorRef::nnz(&self)
     }
-}
 
-fn expect_csr(out: AnyMatrix) -> Result<CsrMatrix, RunError> {
-    match out {
-        AnyMatrix::Csr(m) => Ok(m),
-        other => Err(unexpected_output("csr", other.label())),
+    fn validate(self, src: &FormatDescriptor) -> Result<(), ValidationError> {
+        sparse_formats::validate_tensor(src, self)
     }
-}
 
-fn expect_csc(out: AnyMatrix) -> Result<CscMatrix, RunError> {
-    match out {
-        AnyMatrix::Csc(m) => Ok(m),
-        other => Err(unexpected_output("csc", other.label())),
+    fn estimate_output_bytes(self, dst: &FormatDescriptor) -> (&'static str, u64) {
+        crate::admission::estimate_tensor_output_bytes(dst, self)
+    }
+
+    fn kernel(self, conv: &Conversion) -> Option<Result<AnyTensor, RunError>> {
+        conv.run_tensor_kernel(self)
+    }
+
+    fn bind(self, env: &mut RtEnv<'a>, src: &FormatDescriptor) -> Result<(), RunError> {
+        bind_tensor(env, src, self)
+    }
+
+    fn extract(self, env: &mut RtEnv<'_>, dst: &FormatDescriptor) -> Result<AnyTensor, RunError> {
+        extract_tensor(env, dst, self.dims())
     }
 }
 
@@ -776,7 +600,7 @@ fn extra_sym(desc: &FormatDescriptor, i: usize, role: &str) -> Result<String, Ru
 /// # Errors
 /// Returns [`RunError::Descriptor`] if the descriptor lacks row/column
 /// coordinate UFs.
-pub fn bind_coo<'a>(
+fn bind_coo<'a>(
     env: &mut RtEnv<'a>,
     desc: &FormatDescriptor,
     m: &'a CooMatrix,
@@ -795,7 +619,7 @@ pub fn bind_coo<'a>(
 /// # Errors
 /// Returns [`RunError::Descriptor`] if any of the three mode UFs is
 /// absent.
-pub fn bind_coo3<'a>(
+fn bind_coo3<'a>(
     env: &mut RtEnv<'a>,
     desc: &FormatDescriptor,
     t: &'a Coo3Tensor,
@@ -815,7 +639,7 @@ pub fn bind_coo3<'a>(
 ///
 /// # Errors
 /// Returns [`RunError::Descriptor`] without a pointer or column UF.
-pub fn bind_csr<'a>(
+fn bind_csr<'a>(
     env: &mut RtEnv<'a>,
     desc: &FormatDescriptor,
     m: &'a CsrMatrix,
@@ -834,7 +658,7 @@ pub fn bind_csr<'a>(
 ///
 /// # Errors
 /// Returns [`RunError::Descriptor`] without a column UF or width symbol.
-pub fn bind_ell<'a>(
+fn bind_ell<'a>(
     env: &mut RtEnv<'a>,
     desc: &FormatDescriptor,
     m: &'a EllMatrix,
@@ -854,7 +678,7 @@ pub fn bind_ell<'a>(
 /// # Errors
 /// Returns [`RunError::Descriptor`] without an offset UF or diagonal
 /// count symbol.
-pub fn bind_dia<'a>(
+fn bind_dia<'a>(
     env: &mut RtEnv<'a>,
     desc: &FormatDescriptor,
     m: &'a DiaMatrix,
@@ -872,7 +696,7 @@ pub fn bind_dia<'a>(
 ///
 /// # Errors
 /// Returns [`RunError::Descriptor`] without a pointer or row UF.
-pub fn bind_csc<'a>(
+fn bind_csc<'a>(
     env: &mut RtEnv<'a>,
     desc: &FormatDescriptor,
     m: &'a CscMatrix,
@@ -901,7 +725,7 @@ fn take_data(env: &mut RtEnv<'_>, name: &str) -> Result<Vec<f64>, RunError> {
 ///
 /// # Errors
 /// Fails on missing outputs or invariant violations.
-pub fn extract_csr(
+fn extract_csr(
     env: &mut RtEnv<'_>,
     desc: &FormatDescriptor,
     nr: usize,
@@ -917,7 +741,7 @@ pub fn extract_csr(
 ///
 /// # Errors
 /// Fails on missing outputs or invariant violations.
-pub fn extract_csc(
+fn extract_csc(
     env: &mut RtEnv<'_>,
     desc: &FormatDescriptor,
     nr: usize,
@@ -933,7 +757,7 @@ pub fn extract_csc(
 ///
 /// # Errors
 /// Fails on missing outputs or invariant violations.
-pub fn extract_coo(
+fn extract_coo(
     env: &mut RtEnv<'_>,
     desc: &FormatDescriptor,
     nr: usize,
@@ -949,7 +773,7 @@ pub fn extract_coo(
 ///
 /// # Errors
 /// Fails on missing outputs or invariant violations.
-pub fn extract_coo3(
+fn extract_coo3(
     env: &mut RtEnv<'_>,
     desc: &FormatDescriptor,
     dims: (usize, usize, usize),
@@ -965,7 +789,7 @@ pub fn extract_coo3(
 ///
 /// # Errors
 /// Fails on missing outputs or invariant violations.
-pub fn extract_dia(
+fn extract_dia(
     env: &mut RtEnv<'_>,
     desc: &FormatDescriptor,
     nr: usize,
@@ -974,18 +798,4 @@ pub fn extract_dia(
     let off = take_uf(env, &sole_uf(desc, "offset")?)?;
     let data = take_data(env, &desc.data_name)?;
     Ok(DiaMatrix::new(nr, nc, off, data)?)
-}
-
-/// Convenience: synthesize with `options` and convert in one call.
-///
-/// # Errors
-/// Propagates synthesis and execution failures.
-pub fn convert_coo_to_csr(
-    src: &FormatDescriptor,
-    dst: &FormatDescriptor,
-    m: &CooMatrix,
-    options: SynthesisOptions,
-) -> Result<CsrMatrix, RunError> {
-    let conv = Conversion::new(src, dst, options)?;
-    Ok(conv.run_coo_to_csr(m)?.0)
 }

@@ -5,10 +5,31 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sparse_formats::descriptors;
 use sparse_formats::{
-    Coo3Tensor, CooMatrix, CscMatrix, CsrMatrix, DiaMatrix, MortonCoo3Tensor,
-    MortonCooMatrix,
+    AnyMatrix, AnyTensor, Coo3Tensor, CooMatrix, CscMatrix, CsrMatrix, DiaMatrix, MatrixRef,
+    MortonCoo3Tensor, MortonCooMatrix, TensorRef,
 };
-use sparse_synthesis::{Conversion, PermutationKind, SynthesisOptions};
+use sparse_obs::NoopSubscriber;
+use sparse_synthesis::{
+    bind_matrix, extract_matrix, Conversion, Operand, PermutationKind, SynthesisOptions,
+};
+use spf_codegen::interp::ExecStats;
+use spf_codegen::runtime::RtEnv;
+
+/// Runs `conv` on a validated input, unobserved.
+fn run<'a, I: Operand<'a>>(conv: &Conversion, input: I) -> I::Output {
+    conv.run(input, true, 0, &NoopSubscriber).unwrap()
+}
+
+/// A validated, stats-collecting run of a matrix conversion: bind, the
+/// counting interpreter, extract.
+fn run_with_stats(conv: &Conversion, m: MatrixRef<'_>) -> (AnyMatrix, ExecStats) {
+    sparse_formats::validate_matrix(&conv.synth.src, m).unwrap();
+    let mut env = RtEnv::new();
+    bind_matrix(&mut env, &conv.synth.src, m).unwrap();
+    let stats = conv.execute_env(&mut env).unwrap();
+    let (nr, nc) = m.dims();
+    (extract_matrix(&mut env, &conv.synth.dst, nr, nc).unwrap(), stats)
+}
 
 /// Deterministic random sparse matrix with unique coordinates.
 fn random_coo(nr: usize, nc: usize, nnz: usize, seed: u64, sorted: bool) -> CooMatrix {
@@ -84,8 +105,8 @@ fn scoo_to_csr_matches_oracle_and_elides_permutation() {
     for seed in 0..5 {
         let mut coo = random_coo(40, 30, 200, seed, true);
         coo.sort_row_major();
-        let (got, _) = conv.run_coo_to_csr(&coo).unwrap();
-        assert_eq!(got, CsrMatrix::from_coo(&coo), "seed {seed}");
+        let got = run(&conv, MatrixRef::Coo(&coo));
+        assert_eq!(got, AnyMatrix::Csr(CsrMatrix::from_coo(&coo)), "seed {seed}");
     }
 }
 
@@ -101,8 +122,8 @@ fn unsorted_coo_to_csr_uses_permutation() {
     assert!(matches!(conv.synth.permutation, PermutationKind::Ordered { .. }));
     for seed in 0..5 {
         let coo = random_coo(25, 35, 150, seed, false);
-        let (got, _) = conv.run_coo_to_csr(&coo).unwrap();
-        assert_eq!(got, CsrMatrix::from_coo(&coo), "seed {seed}");
+        let got = run(&conv, MatrixRef::Coo(&coo));
+        assert_eq!(got, AnyMatrix::Csr(CsrMatrix::from_coo(&coo)), "seed {seed}");
     }
 }
 
@@ -119,8 +140,8 @@ fn scoo_to_csc_matches_oracle() {
     for seed in 0..5 {
         let mut coo = random_coo(30, 20, 180, seed, true);
         coo.sort_row_major();
-        let (got, _) = conv.run_coo_to_csc(&coo).unwrap();
-        assert_eq!(got, CscMatrix::from_coo(&coo), "seed {seed}");
+        let got = run(&conv, MatrixRef::Coo(&coo));
+        assert_eq!(got, AnyMatrix::Csc(CscMatrix::from_coo(&coo)), "seed {seed}");
     }
 }
 
@@ -134,8 +155,8 @@ fn csr_to_csc_matches_oracle() {
     .unwrap();
     for seed in 0..5 {
         let csr = CsrMatrix::from_coo(&random_coo(35, 25, 160, seed, true));
-        let (got, _) = conv.run_csr_to_csc(&csr).unwrap();
-        assert_eq!(got, CscMatrix::from_csr(&csr), "seed {seed}");
+        let got = run(&conv, MatrixRef::Csr(&csr));
+        assert_eq!(got, AnyMatrix::Csc(CscMatrix::from_csr(&csr)), "seed {seed}");
     }
 }
 
@@ -148,8 +169,8 @@ fn csr_to_coo_matches_oracle() {
     )
     .unwrap();
     let csr = CsrMatrix::from_coo(&random_coo(20, 20, 80, 7, true));
-    let (got, _) = conv.run_csr_to_coo(&csr).unwrap();
-    assert_eq!(got, csr.to_coo());
+    let got = run(&conv, MatrixRef::Csr(&csr));
+    assert_eq!(got, AnyMatrix::Coo(csr.to_coo()));
 }
 
 #[test]
@@ -163,7 +184,7 @@ fn scoo_to_dia_matches_oracle_linear_search() {
     for seed in 0..4 {
         let mut coo = banded_coo(30, &[-3, -1, 0, 2, 5], seed);
         coo.sort_row_major();
-        let (got, _) = conv.run_coo_to_dia(&coo).unwrap();
+        let AnyMatrix::Dia(got) = run(&conv, MatrixRef::Coo(&coo)) else { panic!("not DIA") };
         let want = DiaMatrix::from_coo(&coo);
         assert_eq!(got, want, "seed {seed}");
         got.validate().unwrap();
@@ -186,8 +207,8 @@ fn scoo_to_dia_binary_search_agrees_with_linear() {
     .unwrap();
     let mut coo = banded_coo(50, &[-7, -2, 0, 1, 4, 9], 42);
     coo.sort_row_major();
-    let (a, stats_lin) = linear.run_coo_to_dia(&coo).unwrap();
-    let (b, stats_bin) = binary.run_coo_to_dia(&coo).unwrap();
+    let (a, stats_lin) = run_with_stats(&linear, MatrixRef::Coo(&coo));
+    let (b, stats_bin) = run_with_stats(&binary, MatrixRef::Coo(&coo));
     assert_eq!(a, b);
     // The binary search does asymptotically less work in the copy loop.
     assert!(
@@ -210,9 +231,9 @@ fn coo_to_mcoo_matches_oracle() {
     for seed in 0..4 {
         let mut coo = random_coo(32, 32, 120, seed, true);
         coo.sort_row_major();
-        let (got, _) = conv.run_coo_to_mcoo(&coo).unwrap();
+        let got = run(&conv, MatrixRef::Coo(&coo));
         let want = MortonCooMatrix::from_coo(&coo);
-        assert_eq!(got, want, "seed {seed}");
+        assert_eq!(got, AnyMatrix::MortonCoo(want), "seed {seed}");
     }
 }
 
@@ -228,12 +249,8 @@ fn mcoo_to_csr_round_trips() {
     .unwrap();
     let coo = random_coo(24, 24, 100, 3, true);
     let m = MortonCooMatrix::from_coo(&coo);
-    let mut env = spf_codegen::runtime::RtEnv::new();
-    sparse_synthesis::run::bind_coo(&mut env, &conv.synth.src, &m.coo).unwrap();
-    conv.execute_env(&mut env).unwrap();
-    let got =
-        sparse_synthesis::run::extract_csr(&mut env, &conv.synth.dst, coo.nr, coo.nc).unwrap();
-    assert_eq!(got, CsrMatrix::from_coo(&coo));
+    let got = run(&conv, MatrixRef::MortonCoo(&m));
+    assert_eq!(got, AnyMatrix::Csr(CsrMatrix::from_coo(&coo)));
 }
 
 #[test]
@@ -246,9 +263,9 @@ fn coo3_to_mcoo3_matches_oracle() {
     .unwrap();
     for seed in 0..3 {
         let t = random_coo3((16, 16, 16), 200, seed);
-        let (got, _) = conv.run_coo3_to_mcoo3(&t).unwrap();
+        let got = run(&conv, TensorRef::Coo3(&t));
         let want = MortonCoo3Tensor::from_coo3(&t);
-        assert_eq!(got, want, "seed {seed}");
+        assert_eq!(got, AnyTensor::MortonCoo3(want), "seed {seed}");
     }
 }
 
@@ -262,7 +279,7 @@ fn coo_to_scoo_sorts() {
     .unwrap();
     let coo = random_coo(20, 20, 90, 11, false);
     assert!(!coo.is_sorted_row_major());
-    let (got, _) = conv.run_coo_to_scoo(&coo).unwrap();
+    let AnyMatrix::Coo(got) = run(&conv, MatrixRef::Coo(&coo)) else { panic!("not COO") };
     assert!(got.is_sorted_row_major());
     let mut want = coo.clone();
     want.sort_row_major();
@@ -278,7 +295,7 @@ fn empty_matrix_converts() {
     )
     .unwrap();
     let coo = CooMatrix::from_triplets(5, 5, vec![], vec![], vec![]).unwrap();
-    let (got, _) = conv.run_coo_to_csr(&coo).unwrap();
+    let AnyMatrix::Csr(got) = run(&conv, MatrixRef::Coo(&coo)) else { panic!("not CSR") };
     assert_eq!(got.rowptr, vec![0; 6]);
     assert!(got.col.is_empty());
 }
@@ -300,7 +317,7 @@ fn empty_rows_leading_and_trailing() {
         vec![1.0, 2.0],
     )
     .unwrap();
-    let (got, _) = conv.run_coo_to_csr(&coo).unwrap();
+    let AnyMatrix::Csr(got) = run(&conv, MatrixRef::Coo(&coo)) else { panic!("not CSR") };
     assert_eq!(got, CsrMatrix::from_coo(&coo));
     assert_eq!(got.rowptr, vec![0, 0, 0, 2, 2, 2, 2]);
 }
@@ -314,7 +331,7 @@ fn single_element_matrix() {
     )
     .unwrap();
     let coo = CooMatrix::from_triplets(3, 3, vec![1], vec![2], vec![9.0]).unwrap();
-    let (got, _) = conv.run_coo_to_dia(&coo).unwrap();
+    let AnyMatrix::Dia(got) = run(&conv, MatrixRef::Coo(&coo)) else { panic!("not DIA") };
     assert_eq!(got.off, vec![1]);
     assert_eq!(got.get(1, 2), 9.0);
 }
@@ -337,8 +354,8 @@ fn naive_and_optimized_agree() {
     .unwrap();
     let mut coo = random_coo(30, 30, 140, 5, true);
     coo.sort_row_major();
-    let (a, stats_opt) = opt.run_coo_to_csr(&coo).unwrap();
-    let (b, stats_naive) = naive.run_coo_to_csr(&coo).unwrap();
+    let (a, stats_opt) = run_with_stats(&opt, MatrixRef::Coo(&coo));
+    let (b, stats_naive) = run_with_stats(&naive, MatrixRef::Coo(&coo));
     assert_eq!(a, b);
     // Optimization strictly reduces executed statements.
     assert!(stats_opt.statements < stats_naive.statements);
@@ -397,8 +414,8 @@ fn ell_to_csr_compacts_padding() {
     for seed in 0..3 {
         let coo = random_coo(18, 22, 90, seed, true);
         let ell = EllMatrix::from_coo(&coo);
-        let (got, _) = conv.run_ell_to_csr(&ell).unwrap();
-        assert_eq!(got, CsrMatrix::from_coo(&coo), "seed {seed}");
+        let got = run(&conv, MatrixRef::Ell(&ell));
+        assert_eq!(got, AnyMatrix::Csr(CsrMatrix::from_coo(&coo)), "seed {seed}");
     }
 }
 
@@ -424,8 +441,8 @@ fn ell_to_coo_preserves_order_via_insertion_permutation() {
         m
     };
     let ell = EllMatrix::from_coo(&coo);
-    let (got, _) = conv.run_ell_to_coo(&ell).unwrap();
-    assert_eq!(got, coo);
+    let got = run(&conv, MatrixRef::Ell(&ell));
+    assert_eq!(got, AnyMatrix::Coo(coo));
 }
 
 #[test]
@@ -441,8 +458,8 @@ fn csc_to_csr_matches_oracle() {
     for seed in 0..4 {
         let coo = random_coo(22, 18, 120, seed, true);
         let csc = CscMatrix::from_coo(&coo);
-        let (got, _) = conv.run_csc_to_csr(&csc).unwrap();
-        assert_eq!(got, CsrMatrix::from_coo(&coo), "seed {seed}");
+        let got = run(&conv, MatrixRef::Csc(&csc));
+        assert_eq!(got, AnyMatrix::Csr(CsrMatrix::from_coo(&coo)), "seed {seed}");
     }
 }
 
@@ -456,9 +473,9 @@ fn csc_to_coo_keeps_column_major_order() {
     .unwrap();
     let coo = random_coo(15, 15, 60, 2, true);
     let csc = CscMatrix::from_coo(&coo);
-    let (got, _) = conv.run_csc_to_coo(&csc).unwrap();
+    let got = run(&conv, MatrixRef::Csc(&csc));
     // Unordered destination keeps the source (column-major) order.
-    assert_eq!(got, csc.to_coo());
+    assert_eq!(got, AnyMatrix::Coo(csc.to_coo()));
 }
 
 #[test]
@@ -511,8 +528,8 @@ fn missing_custom_comparator_surfaces_as_error() {
     let conv =
         Conversion::new(&descriptors::scoo(), &dst, SynthesisOptions::default()).unwrap();
     let coo = random_coo(5, 5, 10, 1, true);
-    let mut env = spf_codegen::runtime::RtEnv::new();
-    sparse_synthesis::run::bind_coo(&mut env, &conv.synth.src, &coo).unwrap();
+    let mut env = RtEnv::new();
+    bind_matrix(&mut env, &conv.synth.src, MatrixRef::Coo(&coo)).unwrap();
     let err = conv.execute_env(&mut env).unwrap_err();
     assert!(err.to_string().contains("comparator NOT_REGISTERED"), "{err}");
 }

@@ -8,12 +8,25 @@ use sparse_formats::{
 };
 use sparse_matgen::catalog::{pair_descriptors, MATRIX_PAIRS, TENSOR_PAIRS};
 use sparse_matgen::{random_uniform, skewed_tensor};
-use sparse_synthesis::{Conversion, SynthesisOptions};
+use sparse_obs::NoopSubscriber;
+use sparse_synthesis::{Conversion, Operand, SynthesisOptions};
+use spf_codegen::interp::ExecStats;
+use spf_codegen::runtime::RtEnv;
 
 /// Synthesizes the catalog pair `src -> dst`.
 fn conversion(src: &str, dst: &str) -> Conversion {
     let (s, d) = pair_descriptors(src, dst);
     Conversion::new(&s, &d, SynthesisOptions::default()).unwrap()
+}
+
+/// A validated, stats-collecting run of `conv` on `input`: bind, the
+/// counting interpreter, extract.
+fn run_with_stats<'a, I: Operand<'a>>(conv: &Conversion, input: I) -> (I::Output, ExecStats) {
+    input.validate(&conv.synth.src).unwrap();
+    let mut env = RtEnv::new();
+    input.bind(&mut env, &conv.synth.src).unwrap();
+    let stats = conv.execute_env(&mut env).unwrap();
+    (input.extract(&mut env, &conv.synth.dst).unwrap(), stats)
 }
 
 /// A reversed order visits the permutation paths of unordered sources.
@@ -41,9 +54,10 @@ fn catalog_rank_queries_all_hit_the_ordinal_table() {
             "mcoo" => AnyMatrix::MortonCoo(MortonCooMatrix::from_coo(&sorted)),
             _ => AnyMatrix::Ell(EllMatrix::from_coo(&sorted)),
         };
-        let (out, stats) = conv.run_matrix(&input).unwrap();
+        let (out, stats) = run_with_stats(&conv, input.as_ref());
         assert_eq!(stats.rank_misses, 0, "{src}->{dst}");
-        assert_eq!(out, conv.run_matrix_quiet(&input).unwrap(), "{src}->{dst}");
+        let quiet = conv.run(input.as_ref(), false, 0, &NoopSubscriber).unwrap();
+        assert_eq!(out, quiet, "{src}->{dst}");
         with_rank += usize::from(conv.emit_c().contains(".rank("));
     }
     for (src, dst) in TENSOR_PAIRS {
@@ -53,9 +67,10 @@ fn catalog_rank_queries_all_hit_the_ordinal_table() {
             "scoo3" => AnyTensor::Coo3(tensor.clone()),
             _ => AnyTensor::MortonCoo3(MortonCoo3Tensor::from_coo3(&tensor)),
         };
-        let (out, stats) = conv.run_tensor(&input).unwrap();
+        let (out, stats) = run_with_stats(&conv, input.as_ref());
         assert_eq!(stats.rank_misses, 0, "{src}->{dst}");
-        assert_eq!(out, conv.run_tensor_quiet(&input).unwrap(), "{src}->{dst}");
+        let quiet = conv.run(input.as_ref(), false, 0, &NoopSubscriber).unwrap();
+        assert_eq!(out, quiet, "{src}->{dst}");
         with_rank += usize::from(conv.emit_c().contains(".rank("));
     }
     // The six DIA plans build a unique `L_off` list but never rank it.

@@ -23,8 +23,8 @@
 //! * **Plan verification** — with [`EngineConfig::verify_plans`], every
 //!   freshly synthesized plan runs through the `sparse-analyze` static
 //!   verifier at synthesis time: plans with error-severity findings are
-//!   refused (and never cached), and batch fan-out is gated on the
-//!   verifier's dependence verdict.
+//!   refused (and never cached). The verdict decides neither the backend
+//!   nor batch fan-out.
 //! * **Native kernel backend** — under [`Backend::Auto`] (the default
 //!   policy), conversions whose inputs are *validated* are served by a
 //!   fused hand-optimized kernel from the
@@ -72,7 +72,6 @@
 #![deny(clippy::unwrap_used)]
 #![deny(clippy::expect_used)]
 
-mod admission;
 pub mod cache;
 mod stats;
 
@@ -86,7 +85,7 @@ use sparse_analyze::AnalysisReport;
 use sparse_formats::descriptors::StructuralHasher;
 use sparse_formats::{AnyMatrix, AnyTensor, FormatDescriptor};
 use sparse_obs::{Event, EventKind, EventRing, PairHistograms, PairSnapshot, Span, Stage};
-use sparse_synthesis::{Conversion, RunError, SynthesisOptions};
+use sparse_synthesis::{Conversion, Operand, RunError, SynthesisOptions};
 
 use cache::{panic_message, Lookup, PlanCache};
 use stats::StatsInner;
@@ -198,11 +197,10 @@ pub struct EngineConfig {
     /// a fingerprint).
     pub options: SynthesisOptions,
     /// Run the static verifier on every freshly synthesized plan. Plans
-    /// with error-severity findings are refused (and never cached), and
-    /// [`Engine::convert_batch`] only fans work across threads when the
-    /// verifier proved a parallel loop; unverified engines keep the
-    /// historical trust-the-synthesizer behavior. Verification does not
-    /// decide the execution backend: kernels run with or without it.
+    /// with error-severity findings are refused (and never cached);
+    /// unverified engines trust the synthesizer. That refusal is all
+    /// verification changes: it decides neither the execution backend
+    /// (kernels run with or without it) nor batch fan-out.
     pub verify_plans: bool,
     /// Validate every input container against its source descriptor's
     /// quantifier obligations before binding (default `true`). The
@@ -402,7 +400,7 @@ impl Engine {
             }
         };
         let nanos = t0.elapsed().as_nanos() as u64;
-        StatsInner::add(&self.stats.plan_nanos, nanos);
+        StatsInner::add(&self.stats.plan_time, nanos);
         if self.subscriber.enabled() {
             self.subscriber.span(Span { stage: Stage::Plan, pair: key, nanos, ok: out.is_ok() });
         }
@@ -421,7 +419,7 @@ impl Engine {
     ) -> Result<Plan, String> {
         let t0 = Instant::now();
         let built = Conversion::new(src, dst, options).map_err(|e| e.to_string());
-        StatsInner::add(&self.stats.synth_nanos, t0.elapsed().as_nanos() as u64);
+        StatsInner::add(&self.stats.synth_time, t0.elapsed().as_nanos() as u64);
         match &built {
             Ok(_) => StatsInner::add(&self.stats.plans_synthesized, 1),
             Err(_) => {
@@ -436,7 +434,7 @@ impl Engine {
             let t1 = Instant::now();
             let report = sparse_analyze::verify(&conversion.synth);
             let verify_nanos = t1.elapsed().as_nanos() as u64;
-            StatsInner::add(&self.stats.verify_nanos, verify_nanos);
+            StatsInner::add(&self.stats.verify_time, verify_nanos);
             StatsInner::add(&self.stats.plans_verified, 1);
             if self.subscriber.enabled() {
                 self.subscriber.span(Span {
@@ -485,7 +483,7 @@ impl Engine {
         input: &AnyMatrix,
     ) -> Result<AnyMatrix, EngineError> {
         let plan = self.plan(src, dst)?;
-        self.execute_one(&plan, input)
+        self.execute_one(&plan, input.as_ref())
     }
 
     /// Converts one order-3 tensor from `src` to `dst`.
@@ -499,81 +497,7 @@ impl Engine {
         input: &AnyTensor,
     ) -> Result<AnyTensor, EngineError> {
         let plan = self.plan(src, dst)?;
-        let pair = plan.pair;
-        let nnz = input.nnz() as u64;
-        let started = Instant::now();
-        if self.config.validate_inputs {
-            let t0 = Instant::now();
-            let checked = sparse_formats::validate_tensor(&plan.synth.src, input.as_ref());
-            self.span_validate(pair, t0.elapsed().as_nanos() as u64, checked.is_ok());
-            if let Err(e) = checked {
-                StatsInner::add(&self.stats.inputs_rejected, 1);
-                self.note(EventKind::InputRejected, pair, 0, nnz);
-                return Err(EngineError::Run(e.into()));
-            }
-        }
-        if let Some(budget) = self.config.memory_budget {
-            let t0 = Instant::now();
-            let (what, needed) =
-                admission::estimate_tensor_output_bytes(&plan.synth.dst, input.as_ref());
-            self.span_admission(pair, t0.elapsed().as_nanos() as u64, needed <= budget);
-            if needed > budget {
-                StatsInner::add(&self.stats.inputs_rejected, 1);
-                self.note(EventKind::AdmissionRejected, pair, 0, nnz);
-                return Err(EngineError::Run(RunError::ResourceExhausted {
-                    what: what.to_string(),
-                    needed,
-                    budget,
-                }));
-            }
-        }
-        if self.kernel_eligible(&plan) {
-            let t0 = Instant::now();
-            let hit = catch_unwind(AssertUnwindSafe(|| plan.run_tensor_kernel(input.as_ref())));
-            let kernel_nanos = t0.elapsed().as_nanos() as u64;
-            if let Some(out) = self.settle_kernel_attempt(hit, pair, kernel_nanos, nnz) {
-                self.pairs.record(
-                    pair,
-                    || plan.pair_label(),
-                    started.elapsed().as_nanos() as u64,
-                    nnz,
-                );
-                return Ok(out);
-            }
-            // Declined, missing, or panicked: the interpreter is the
-            // answer, never an error.
-        }
-        let t0 = Instant::now();
-        let out = catch_unwind(AssertUnwindSafe(|| {
-            plan.run_tensor_observed(input.as_ref(), pair, &*self.subscriber)
-        }));
-        let exec_nanos = t0.elapsed().as_nanos() as u64;
-        StatsInner::add(&self.stats.exec_nanos, exec_nanos);
-        match out {
-            Ok(Ok(out)) => {
-                StatsInner::add(&self.stats.conversions, 1);
-                StatsInner::add(&self.stats.interp_fallbacks, 1);
-                StatsInner::add(&self.stats.nnz_moved, nnz);
-                self.pairs.record(
-                    pair,
-                    || plan.pair_label(),
-                    started.elapsed().as_nanos() as u64,
-                    nnz,
-                );
-                Ok(out)
-            }
-            Ok(Err(e)) => {
-                StatsInner::add(&self.stats.conversions_failed, 1);
-                self.note(EventKind::RunFailed, pair, exec_nanos, nnz);
-                Err(EngineError::Run(e))
-            }
-            Err(payload) => {
-                StatsInner::add(&self.stats.conversions_failed, 1);
-                StatsInner::add(&self.stats.panics_caught, 1);
-                self.note(EventKind::InterpPanic, pair, exec_nanos, nnz);
-                Err(EngineError::Panicked(panic_message(&*payload)))
-            }
-        }
+        self.execute_one(&plan, input.as_ref())
     }
 
     /// Converts a batch of matrices from `src` to `dst` across this
@@ -587,22 +511,14 @@ impl Engine {
     /// panics are contained at the item boundary and surface as
     /// [`EngineError::Panicked`] for that item alone.
     ///
-    /// Items whose parallel-path attempt fails with a *transient* error
-    /// (execution fault or contained panic — not a validation, admission,
-    /// dispatch, or deadline rejection) are retried **once** on the
-    /// sequential reference path; each retry counts as a
-    /// `degraded_conversions` stat.
-    ///
     /// With [`EngineConfig::batch_deadline`] set, items not yet started
     /// when the deadline expires fail with [`RunError::DeadlineExceeded`]
-    /// (already-running items complete); expired items are not retried.
+    /// (already-running items complete).
     ///
-    /// Under [`EngineConfig::verify_plans`], fan-out is gated on the
-    /// verifier's dependence verdict: only plans with a statically proved
-    /// parallel loop run across multiple workers, everything else falls
-    /// back to one worker. (Batch elements are independent either way;
-    /// the verdict is the engine's evidence that the plan's inspector
-    /// behaves deterministically enough to be worth scheduling freely.)
+    /// Batch items are independent, so every batch fans out over
+    /// [`EngineConfig::threads`] workers (at most one per item), verified
+    /// or not. Each item runs exactly once: an item's result and stats do
+    /// not depend on the worker count.
     ///
     /// # Errors
     /// The outer `Err` is reserved for planning failures (there is no
@@ -619,14 +535,9 @@ impl Engine {
             return Ok(Vec::new());
         }
         let deadline = self.config.batch_deadline.map(|d| (d, Instant::now() + d));
-        let proved_parallel = match &plan.verification {
-            Some(report) => report.has_parallel_loop(),
-            None => !self.config.verify_plans,
-        };
-        let max_workers = if proved_parallel { self.config.effective_threads() } else { 1 };
-        let workers = max_workers.clamp(1, inputs.len());
+        let workers = self.config.effective_threads().clamp(1, inputs.len());
 
-        let mut results: Vec<Result<AnyMatrix, EngineError>> = if workers == 1 {
+        let results: Vec<Result<AnyMatrix, EngineError>> = if workers == 1 {
             inputs.iter().map(|m| self.execute_deadlined(&plan, m, deadline)).collect()
         } else {
             let chunk = inputs.len().div_ceil(workers);
@@ -645,29 +556,15 @@ impl Engine {
             // Per-item catch_unwind means workers always write their
             // slots; an empty slot would indicate a harness bug, reported
             // as a typed per-item error rather than a panic.
-            let filled: Vec<_> = slots
+            slots
                 .into_iter()
                 .map(|r| {
                     r.unwrap_or_else(|| {
                         Err(EngineError::Panicked("batch slot never written".to_string()))
                     })
                 })
-                .collect();
-            filled
+                .collect()
         };
-
-        // Degraded retry: transient parallel-path failures get one
-        // sequential attempt. Deterministic rejections (invalid input,
-        // admission, dispatch, deadline) would fail identically and are
-        // not retried.
-        if workers > 1 {
-            for (input, slot) in inputs.iter().zip(results.iter_mut()) {
-                if slot.as_ref().is_err_and(transient) {
-                    StatsInner::add(&self.stats.degraded_conversions, 1);
-                    *slot = self.execute_one(&plan, input);
-                }
-            }
-        }
 
         let failed = results.iter().filter(|r| r.is_err()).count();
         StatsInner::add(&self.stats.items_failed, failed as u64);
@@ -689,12 +586,15 @@ impl Engine {
                 return Err(EngineError::Run(RunError::DeadlineExceeded { deadline: budget }));
             }
         }
-        self.execute_one(plan, input)
+        self.execute_one(plan, input.as_ref())
     }
 
     /// A point-in-time snapshot of this engine's counters.
     pub fn stats(&self) -> EngineStats {
-        self.stats.snapshot(self.cache.evictions(), self.cache.len())
+        self.stats.snapshot(stats::CacheReadout {
+            cache_evictions: self.cache.evictions(),
+            cached_plans: self.cache.len(),
+        })
     }
 
     /// The engine's exceptional-event ring buffer: kernel panics and
@@ -723,140 +623,8 @@ impl Engine {
     /// rendered as a Prometheus-style text page. Metric and label names
     /// are **stable API** (snapshot-tested): dashboards may key on them.
     pub fn metrics_text(&self) -> String {
-        let s = self.stats();
         let mut page = sparse_obs::expo::MetricsText::new();
-        page.counter("engine_plan_lookups_total", "Plan lookups received.", s.plan_lookups);
-        page.counter(
-            "engine_cache_hits_total",
-            "Plan lookups answered from the cache.",
-            s.cache_hits,
-        );
-        page.counter(
-            "engine_cache_misses_total",
-            "Plan lookups that synthesized or observed a failure.",
-            s.cache_misses,
-        );
-        page.counter(
-            "engine_cache_evictions_total",
-            "Plans dropped under the capacity limit.",
-            s.cache_evictions,
-        );
-        page.gauge("engine_cached_plans", "Plans currently resident.", s.cached_plans as u64);
-        page.counter(
-            "engine_plans_synthesized_total",
-            "Plans built by the synthesizer.",
-            s.plans_synthesized,
-        );
-        page.counter(
-            "engine_plan_failures_total",
-            "Plan constructions that failed.",
-            s.plan_failures,
-        );
-        page.counter(
-            "engine_plans_verified_total",
-            "Plans run through the static verifier.",
-            s.plans_verified,
-        );
-        page.counter(
-            "engine_plans_rejected_total",
-            "Plans the verifier refused.",
-            s.plans_rejected,
-        );
-        page.counter(
-            "engine_parallel_plans_total",
-            "Verified plans with a proved parallel loop.",
-            s.parallel_plans,
-        );
-        page.counter(
-            "engine_conversions_total",
-            "Conversions that completed successfully.",
-            s.conversions,
-        );
-        page.counter(
-            "engine_conversions_failed_total",
-            "Executions that started and then failed or panicked.",
-            s.conversions_failed,
-        );
-        page.counter(
-            "engine_nnz_moved_total",
-            "Stored entries moved by successful conversions.",
-            s.nnz_moved,
-        );
-        page.counter(
-            "engine_kernels_hit_total",
-            "Conversions served by a native kernel.",
-            s.kernels_hit,
-        );
-        page.counter(
-            "engine_kernel_declines_total",
-            "Kernel attempts that declined the input.",
-            s.kernel_declines,
-        );
-        page.counter(
-            "engine_kernel_panics_total",
-            "Kernel attempts that panicked (contained).",
-            s.kernel_panics,
-        );
-        page.counter(
-            "engine_interp_fallbacks_total",
-            "Successful conversions executed by the interpreter.",
-            s.interp_fallbacks,
-        );
-        page.counter(
-            "engine_inputs_rejected_total",
-            "Inputs refused before execution (validation or admission).",
-            s.inputs_rejected,
-        );
-        page.counter(
-            "engine_items_failed_total",
-            "Batch items whose final result was an error.",
-            s.items_failed,
-        );
-        page.counter(
-            "engine_panics_caught_total",
-            "Panics contained at an isolation boundary.",
-            s.panics_caught,
-        );
-        page.counter(
-            "engine_degraded_conversions_total",
-            "Batch items retried on the sequential path.",
-            s.degraded_conversions,
-        );
-        page.counter(
-            "engine_deadline_expired_total",
-            "Batch items that never started before the deadline.",
-            s.deadline_expired,
-        );
-        page.counter(
-            "engine_synth_nanoseconds_total",
-            "Wall time in synthesis and lowering.",
-            s.synth_time.as_nanos() as u64,
-        );
-        page.counter(
-            "engine_verify_nanoseconds_total",
-            "Wall time in static plan verification.",
-            s.verify_time.as_nanos() as u64,
-        );
-        page.counter(
-            "engine_validate_nanoseconds_total",
-            "Wall time in input validation and admission estimation.",
-            s.validate_time.as_nanos() as u64,
-        );
-        page.counter(
-            "engine_exec_nanoseconds_total",
-            "Wall time in interpreter execution.",
-            s.exec_time.as_nanos() as u64,
-        );
-        page.counter(
-            "engine_kernel_nanoseconds_total",
-            "Wall time in native kernels that hit.",
-            s.kernel_time.as_nanos() as u64,
-        );
-        page.counter(
-            "engine_kernel_declined_nanoseconds_total",
-            "Wall time in kernel attempts that declined or panicked.",
-            s.kernel_declined_time.as_nanos() as u64,
-        );
+        self.stats().expose(&mut page);
         page.counter(
             "engine_events_recorded_total",
             "Exceptional events recorded.",
@@ -894,18 +662,25 @@ impl Engine {
         self.cache.clear();
     }
 
-    /// The single-item execution path shared by [`Engine::convert`] and
-    /// every batch item: validate → admission check → execute under
-    /// `catch_unwind`. The panic guard makes this the engine's fault
-    /// boundary — nothing downstream of it can take out a caller.
-    fn execute_one(&self, plan: &Plan, input: &AnyMatrix) -> Result<AnyMatrix, EngineError> {
+    /// The single-item execution path behind [`Engine::convert`],
+    /// [`Engine::convert_tensor`] and every batch item, for either rank:
+    /// validate → admission check → native kernel or interpreter, each
+    /// execution under `catch_unwind`. The panic guards make this the
+    /// engine's fault boundary — nothing downstream of it can take out a
+    /// caller.
+    fn execute_one<'a, I: Operand<'a>>(
+        &self,
+        plan: &Plan,
+        input: I,
+    ) -> Result<I::Output, EngineError> {
         let pair = plan.pair;
         let nnz = input.nnz() as u64;
         let started = Instant::now();
         if self.config.validate_inputs {
             let t0 = Instant::now();
-            let checked = sparse_formats::validate_matrix(&plan.synth.src, input.as_ref());
-            self.span_validate(pair, t0.elapsed().as_nanos() as u64, checked.is_ok());
+            let checked = input.validate(&plan.synth.src);
+            let nanos = t0.elapsed().as_nanos() as u64;
+            self.span_check(Stage::Validate, pair, nanos, checked.is_ok());
             if let Err(e) = checked {
                 StatsInner::add(&self.stats.inputs_rejected, 1);
                 self.note(EventKind::InputRejected, pair, 0, nnz);
@@ -914,9 +689,9 @@ impl Engine {
         }
         if let Some(budget) = self.config.memory_budget {
             let t0 = Instant::now();
-            let (what, needed) =
-                admission::estimate_matrix_output_bytes(&plan.synth.dst, input.as_ref());
-            self.span_admission(pair, t0.elapsed().as_nanos() as u64, needed <= budget);
+            let (what, needed) = input.estimate_output_bytes(&plan.synth.dst);
+            let nanos = t0.elapsed().as_nanos() as u64;
+            self.span_check(Stage::Admission, pair, nanos, needed <= budget);
             if needed > budget {
                 StatsInner::add(&self.stats.inputs_rejected, 1);
                 self.note(EventKind::AdmissionRejected, pair, 0, nnz);
@@ -927,40 +702,44 @@ impl Engine {
                 }));
             }
         }
-        if self.kernel_eligible(plan) {
+        let served = if self.kernel_eligible(plan) {
             let t0 = Instant::now();
-            let hit = catch_unwind(AssertUnwindSafe(|| plan.run_matrix_kernel(input.as_ref())));
-            let kernel_nanos = t0.elapsed().as_nanos() as u64;
-            if let Some(out) = self.settle_kernel_attempt(hit, pair, kernel_nanos, nnz) {
-                self.pairs.record(
-                    pair,
-                    || plan.pair_label(),
-                    started.elapsed().as_nanos() as u64,
-                    nnz,
-                );
-                return Ok(out);
-            }
-            // Declined, missing, or panicked: fall through to the
-            // interpreter — fallback is never an error. The attempt's
-            // cost and cause were attributed by `settle_kernel_attempt`.
-        }
+            let hit = catch_unwind(AssertUnwindSafe(|| input.kernel(plan)));
+            self.settle_kernel_attempt(hit, pair, t0.elapsed().as_nanos() as u64, nnz)
+        } else {
+            None
+        };
+        // A declined, missing or panicked kernel falls through to the
+        // interpreter — fallback is never an error. The attempt's cost
+        // and cause were attributed by `settle_kernel_attempt`.
+        let out = match served {
+            Some(out) => out,
+            None => self.interpret(plan, input, nnz)?,
+        };
+        self.pairs.record(pair, || plan.pair_label(), started.elapsed().as_nanos() as u64, nnz);
+        Ok(out)
+    }
+
+    /// Runs `plan` on the SPF-IR interpreter under `catch_unwind`, with
+    /// `interp`/`extract` spans and the outcome's counters and events.
+    fn interpret<'a, I: Operand<'a>>(
+        &self,
+        plan: &Plan,
+        input: I,
+        nnz: u64,
+    ) -> Result<I::Output, EngineError> {
+        let pair = plan.pair;
         let t0 = Instant::now();
         let out = catch_unwind(AssertUnwindSafe(|| {
-            plan.run_matrix_observed(input.as_ref(), pair, &*self.subscriber)
+            plan.run(input, false, pair, &*self.subscriber)
         }));
         let exec_nanos = t0.elapsed().as_nanos() as u64;
-        StatsInner::add(&self.stats.exec_nanos, exec_nanos);
+        StatsInner::add(&self.stats.exec_time, exec_nanos);
         match out {
             Ok(Ok(out)) => {
                 StatsInner::add(&self.stats.conversions, 1);
                 StatsInner::add(&self.stats.interp_fallbacks, 1);
                 StatsInner::add(&self.stats.nnz_moved, nnz);
-                self.pairs.record(
-                    pair,
-                    || plan.pair_label(),
-                    started.elapsed().as_nanos() as u64,
-                    nnz,
-                );
                 Ok(out)
             }
             Ok(Err(e)) => {
@@ -994,7 +773,7 @@ impl Engine {
     ) -> Option<T> {
         let out = match attempt {
             Ok(Some(Ok(out))) => {
-                StatsInner::add(&self.stats.kernel_nanos, kernel_nanos);
+                StatsInner::add(&self.stats.kernel_time, kernel_nanos);
                 StatsInner::add(&self.stats.kernels_hit, 1);
                 StatsInner::add(&self.stats.conversions, 1);
                 StatsInner::add(&self.stats.nnz_moved, nnz);
@@ -1002,7 +781,7 @@ impl Engine {
             }
             Ok(Some(Err(_declined))) => {
                 StatsInner::add(&self.stats.kernel_declines, 1);
-                StatsInner::add(&self.stats.kernel_declined_nanos, kernel_nanos);
+                StatsInner::add(&self.stats.kernel_declined_time, kernel_nanos);
                 self.note(EventKind::KernelDecline, pair, kernel_nanos, nnz);
                 None
             }
@@ -1012,7 +791,7 @@ impl Engine {
             Err(_payload) => {
                 StatsInner::add(&self.stats.kernel_panics, 1);
                 StatsInner::add(&self.stats.panics_caught, 1);
-                StatsInner::add(&self.stats.kernel_declined_nanos, kernel_nanos);
+                StatsInner::add(&self.stats.kernel_declined_time, kernel_nanos);
                 self.note(EventKind::KernelPanic, pair, kernel_nanos, nnz);
                 None
             }
@@ -1028,21 +807,13 @@ impl Engine {
         out
     }
 
-    /// Emits one `validate` stage span (stats time is always banked; the
-    /// subscriber call is skipped when disabled).
-    fn span_validate(&self, pair: u64, nanos: u64, ok: bool) {
-        StatsInner::add(&self.stats.validate_nanos, nanos);
+    /// Emits one `validate` or `admission` stage span. Both stages bank
+    /// their time under `validate_time`, always; the subscriber call is
+    /// skipped when disabled.
+    fn span_check(&self, stage: Stage, pair: u64, nanos: u64, ok: bool) {
+        StatsInner::add(&self.stats.validate_time, nanos);
         if self.subscriber.enabled() {
-            self.subscriber.span(Span { stage: Stage::Validate, pair, nanos, ok });
-        }
-    }
-
-    /// Emits one `admission` stage span (estimation time banked under
-    /// `validate_time` alongside input validation).
-    fn span_admission(&self, pair: u64, nanos: u64, ok: bool) {
-        StatsInner::add(&self.stats.validate_nanos, nanos);
-        if self.subscriber.enabled() {
-            self.subscriber.span(Span { stage: Stage::Admission, pair, nanos, ok });
+            self.subscriber.span(Span { stage, pair, nanos, ok });
         }
     }
 
@@ -1057,21 +828,6 @@ impl Engine {
     /// the synthesized plan, which the kernel does not run.
     fn kernel_eligible(&self, plan: &Plan) -> bool {
         self.config.backend == Backend::Auto && self.config.validate_inputs && plan.has_kernel()
-    }
-}
-
-/// Whether a per-item failure is worth one sequential retry: execution
-/// faults and contained panics may be scheduling artifacts; validation,
-/// admission, dispatch, and deadline rejections are deterministic
-/// functions of the input and would fail identically.
-fn transient(e: &EngineError) -> bool {
-    match e {
-        EngineError::Panicked(_) => true,
-        EngineError::Plan(_) => false,
-        EngineError::Run(run) => matches!(
-            run,
-            RunError::Exec(_) | RunError::Format(_) | RunError::MissingOutput(_)
-        ),
     }
 }
 
@@ -1151,7 +907,7 @@ mod tests {
             .unwrap(),
         );
 
-        let err = engine.execute_one(&plan, &input).unwrap_err();
+        let err = engine.execute_one(&plan, input.as_ref()).unwrap_err();
         match err {
             EngineError::Panicked(m) => assert!(m.contains("comparator exploded"), "{m}"),
             other => panic!("expected a contained panic, got: {other}"),
@@ -1205,7 +961,7 @@ mod tests {
         let plan = kernel_plan(|_| panic!("kernel exploded"));
         assert!(engine.kernel_eligible(&plan), "the test must exercise the kernel gate");
 
-        let out = engine.execute_one(&plan, &sorted_input()).unwrap();
+        let out = engine.execute_one(&plan, sorted_input().as_ref()).unwrap();
         assert!(matches!(out, AnyMatrix::Csr(_)), "fallback must still answer");
         let stats = engine.stats();
         assert_eq!(stats.kernel_panics, 1, "the kernel panic must be counted");
@@ -1228,7 +984,7 @@ mod tests {
             Err(RunError::Unsupported("declined by test".into()))
         });
 
-        let out = engine.execute_one(&plan, &sorted_input()).unwrap();
+        let out = engine.execute_one(&plan, sorted_input().as_ref()).unwrap();
         assert!(matches!(out, AnyMatrix::Csr(_)));
         let stats = engine.stats();
         assert_eq!(stats.kernel_declines, 1);

@@ -264,8 +264,9 @@ fn verified_batch_fans_out_on_proved_parallel_plan() {
 #[test]
 fn verified_batch_stays_correct_without_a_parallelism_proof() {
     // scoo -> csr interleaves min and max bounds on rowptr, which the
-    // verifier conservatively keeps sequential; the batch must fall back
-    // to one worker and still produce correct outputs.
+    // verifier conservatively keeps sequential. The verdict does not gate
+    // fan-out (batch items are independent), so the batch still runs on
+    // every configured worker and must produce correct outputs.
     let engine =
         Engine::with_config(EngineConfig { verify_plans: true, ..Default::default() });
     let coo = sample_scoo(9, 11, 2);

@@ -126,7 +126,6 @@ fn batch_quarantines_corrupted_item_with_exact_stats() {
     assert_eq!(stats.items_failed, 1);
     assert_eq!(stats.inputs_rejected, 1);
     assert_eq!(stats.panics_caught, 0);
-    assert_eq!(stats.degraded_conversions, 0, "deterministic rejections are not retried");
     assert_eq!(stats.conversions, 7, "the rejected item never reaches execution");
     assert_eq!(stats.nnz_moved, 7 * good.nnz() as u64);
 }
@@ -155,7 +154,45 @@ fn expired_deadline_fails_unstarted_items_with_typed_error() {
     assert_eq!(stats.deadline_expired, 4);
     assert_eq!(stats.items_failed, 4);
     assert_eq!(stats.conversions, 0, "no expired item reaches execution");
-    assert_eq!(stats.degraded_conversions, 0, "expired items are not retried");
+}
+
+/// Regression: a batch with more than one worker used to re-run every
+/// item that failed in execution once more on the sequential path. The
+/// retry ran the same deterministic code on the same input, so it failed
+/// again, and each such item counted twice under `conversions_failed`
+/// (and twice in the event ring) — but only when `threads > 1`. Every
+/// item now runs exactly once, whatever the worker count.
+#[test]
+fn batch_stats_do_not_depend_on_worker_count() {
+    let (src, dst) = (descriptors::csr(), descriptors::coo());
+    let csr = AnyMatrix::Csr(CsrMatrix::from_coo(&sample_coo()));
+    let inputs: Vec<AnyMatrix> = [Corruption::NegativeIndex, Corruption::OversizedIndex]
+        .into_iter()
+        .map(|class| corrupt_matrix(&csr, class).unwrap())
+        .collect();
+    let counts = |threads: usize| {
+        // Validation off, so the corrupted items reach execution and fail
+        // there rather than being rejected up front.
+        let engine = Engine::with_config(EngineConfig {
+            threads,
+            validate_inputs: false,
+            ..Default::default()
+        });
+        let results = engine.convert_batch(&src, &dst, &inputs).unwrap();
+        assert!(results.iter().all(|r| matches!(r, Err(EngineError::Run(_)))), "{results:?}");
+        let s = engine.stats();
+        (
+            s.conversions,
+            s.conversions_failed,
+            s.items_failed,
+            s.inputs_rejected,
+            s.panics_caught,
+            engine.events().recorded(),
+        )
+    };
+    let sequential = counts(1);
+    assert_eq!(sequential, (0, 2, 2, 0, 0, 2), "each failed item counts once");
+    assert_eq!(counts(2), sequential, "stats must not depend on the worker count");
 }
 
 #[test]

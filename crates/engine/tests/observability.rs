@@ -262,12 +262,12 @@ engine_items_failed_total N
 # HELP engine_panics_caught_total Panics contained at an isolation boundary.
 # TYPE engine_panics_caught_total counter
 engine_panics_caught_total N
-# HELP engine_degraded_conversions_total Batch items retried on the sequential path.
-# TYPE engine_degraded_conversions_total counter
-engine_degraded_conversions_total N
 # HELP engine_deadline_expired_total Batch items that never started before the deadline.
 # TYPE engine_deadline_expired_total counter
 engine_deadline_expired_total N
+# HELP engine_plan_nanoseconds_total Wall time in plan lookups, synthesis included.
+# TYPE engine_plan_nanoseconds_total counter
+engine_plan_nanoseconds_total N
 # HELP engine_synth_nanoseconds_total Wall time in synthesis and lowering.
 # TYPE engine_synth_nanoseconds_total counter
 engine_synth_nanoseconds_total N

@@ -1,9 +1,9 @@
 //! Type-erased containers for generic any-to-any dispatch.
 //!
-//! The conversion engine (and `sparse-synthesis`'s generic `run_matrix`
-//! path) needs to accept "some sparse matrix" and return "some sparse
-//! matrix" where the concrete container is chosen by the *destination
-//! descriptor* at runtime. [`AnyMatrix`] / [`AnyTensor`] are the owned
+//! The conversion engine (and `sparse-synthesis`'s rank-generic
+//! `Conversion::run`) needs to accept "some sparse matrix" and return
+//! "some sparse matrix" where the concrete container is chosen by the
+//! *destination descriptor* at runtime. [`AnyMatrix`] / [`AnyTensor`] are the owned
 //! sums over the shipped containers, and [`MatrixRef`] / [`TensorRef`]
 //! the borrowed views used on the input side so callers never clone just
 //! to dispatch.
@@ -34,27 +34,13 @@ pub enum AnyMatrix {
 impl AnyMatrix {
     /// `(rows, cols)`.
     pub fn dims(&self) -> (usize, usize) {
-        match self {
-            AnyMatrix::Coo(m) => (m.nr, m.nc),
-            AnyMatrix::Csr(m) => (m.nr, m.nc),
-            AnyMatrix::Csc(m) => (m.nr, m.nc),
-            AnyMatrix::Dia(m) => (m.nr, m.nc),
-            AnyMatrix::Ell(m) => (m.nr, m.nc),
-            AnyMatrix::MortonCoo(m) => (m.coo.nr, m.coo.nc),
-        }
+        self.as_ref().dims()
     }
 
     /// Stored-entry count. For DIA and ELL this counts occupied slots
     /// (structural nonzeros), not padding.
     pub fn nnz(&self) -> usize {
-        match self {
-            AnyMatrix::Coo(m) => m.val.len(),
-            AnyMatrix::Csr(m) => m.val.len(),
-            AnyMatrix::Csc(m) => m.val.len(),
-            AnyMatrix::Dia(m) => m.stored_nnz(),
-            AnyMatrix::Ell(m) => m.stored_nnz(),
-            AnyMatrix::MortonCoo(m) => m.coo.val.len(),
-        }
+        self.as_ref().nnz()
     }
 
     /// A borrowed view for dispatch without cloning.
@@ -105,6 +91,19 @@ impl MatrixRef<'_> {
         }
     }
 
+    /// Stored-entry count. For DIA and ELL this counts occupied slots
+    /// (structural nonzeros), not padding.
+    pub fn nnz(&self) -> usize {
+        match self {
+            MatrixRef::Coo(m) => m.val.len(),
+            MatrixRef::Csr(m) => m.val.len(),
+            MatrixRef::Csc(m) => m.val.len(),
+            MatrixRef::Dia(m) => m.stored_nnz(),
+            MatrixRef::Ell(m) => m.stored_nnz(),
+            MatrixRef::MortonCoo(m) => m.coo.val.len(),
+        }
+    }
+
     /// Short container label (`"coo"`, `"csr"`, …) for error messages.
     pub fn label(&self) -> &'static str {
         match self {
@@ -130,18 +129,12 @@ pub enum AnyTensor {
 impl AnyTensor {
     /// `(mode0, mode1, mode2)` extents.
     pub fn dims(&self) -> (usize, usize, usize) {
-        match self {
-            AnyTensor::Coo3(t) => (t.nr, t.nc, t.nz),
-            AnyTensor::MortonCoo3(t) => (t.coo.nr, t.coo.nc, t.coo.nz),
-        }
+        self.as_ref().dims()
     }
 
     /// Stored-entry count.
     pub fn nnz(&self) -> usize {
-        match self {
-            AnyTensor::Coo3(t) => t.val.len(),
-            AnyTensor::MortonCoo3(t) => t.coo.val.len(),
-        }
+        self.as_ref().nnz()
     }
 
     /// A borrowed view for dispatch without cloning.
@@ -173,6 +166,14 @@ impl TensorRef<'_> {
         match self {
             TensorRef::Coo3(t) => (t.nr, t.nc, t.nz),
             TensorRef::MortonCoo3(t) => (t.coo.nr, t.coo.nc, t.coo.nz),
+        }
+    }
+
+    /// Stored-entry count.
+    pub fn nnz(&self) -> usize {
+        match self {
+            TensorRef::Coo3(t) => t.val.len(),
+            TensorRef::MortonCoo3(t) => t.coo.val.len(),
         }
     }
 

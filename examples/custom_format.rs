@@ -15,11 +15,11 @@
 use std::sync::Arc;
 
 use sparse_synth::formats::descriptors::ScanInfo;
-use sparse_synth::formats::{descriptors, CooMatrix, FormatDescriptor};
+use sparse_synth::formats::{descriptors, AnyMatrix, CooMatrix, FormatDescriptor, MatrixRef};
 use sparse_synth::ir::order::{Comparator, KeyDim, OrderKey};
 use sparse_synth::ir::{parse_relation, parse_set, LinExpr, UfSignature, VarId};
-use sparse_synth::synthesis::{run as synth_run, Conversion, SynthesisOptions};
-use sparse_synth::codegen::runtime::RtEnv;
+use sparse_synth::obs::NoopSubscriber;
+use sparse_synth::synthesis::{Conversion, SynthesisOptions};
 
 /// Builds the ACOO descriptor from scratch.
 fn acoo() -> FormatDescriptor {
@@ -115,11 +115,8 @@ fn main() {
         m.sort_row_major();
         m
     };
-    let mut env = RtEnv::new();
-    synth_run::bind_coo(&mut env, &conv.synth.src, &coo).unwrap();
-    conv.execute_env(&mut env).expect("conversion runs");
-    let out = synth_run::extract_coo(&mut env, &conv.synth.dst, coo.nr, coo.nc)
-        .expect("valid output");
+    let out = conv.run(MatrixRef::Coo(&coo), true, 0, &NoopSubscriber);
+    let Ok(AnyMatrix::Coo(out)) = out else { panic!("conversion runs to a valid COO") };
 
     println!("wavefront order (i, j, i+j):");
     let mut prev_key = (i64::MIN, i64::MIN);

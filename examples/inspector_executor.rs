@@ -11,9 +11,9 @@
 //! cargo run --example inspector_executor
 //! ```
 
-use sparse_synth::formats::descriptors;
+use sparse_synth::formats::{descriptors, MatrixRef};
 use sparse_synth::spf::{to_dot, ComparatorRegistry};
-use sparse_synth::synthesis::{executor, run as synth_run, Conversion, SynthesisOptions};
+use sparse_synth::synthesis::{bind_matrix, executor, Conversion, SynthesisOptions};
 use sparse_synth::codegen::runtime::RtEnv;
 
 fn main() {
@@ -44,7 +44,7 @@ fn main() {
     let x: Vec<f64> = (0..coo.nc).map(|k| ((k % 10) as f64) / 2.0).collect();
 
     let mut env = RtEnv::new();
-    synth_run::bind_coo(&mut env, &conv.synth.src, &coo).unwrap();
+    bind_matrix(&mut env, &conv.synth.src, MatrixRef::Coo(&coo)).unwrap();
     conv.execute_env(&mut env).expect("inspector runs");
     env.data.insert(executor::names::X.to_string(), x.clone().into());
     spmv_compiled

@@ -10,8 +10,9 @@
 use std::time::Instant;
 
 use sparse_synth::baselines::hicoo_morton_sort3;
-use sparse_synth::formats::{descriptors, MortonCoo3Tensor};
+use sparse_synth::formats::{descriptors, AnyTensor, MortonCoo3Tensor, TensorRef};
 use sparse_synth::matgen::skewed_tensor;
+use sparse_synth::obs::NoopSubscriber;
 use sparse_synth::synthesis::{Conversion, SynthesisOptions};
 
 fn main() {
@@ -35,7 +36,8 @@ fn main() {
 
     // Synthesized conversion.
     let t0 = Instant::now();
-    let (ours, _) = conv.run_coo3_to_mcoo3(&t).expect("conversion runs");
+    let ours = conv.run(TensorRef::Coo3(&t), true, 0, &NoopSubscriber);
+    let Ok(AnyTensor::MortonCoo3(ours)) = ours else { panic!("conversion runs") };
     let ours_time = t0.elapsed();
 
     // The hand-written HiCOO-style comparator.

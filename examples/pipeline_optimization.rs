@@ -8,8 +8,11 @@
 //! cargo run --example pipeline_optimization
 //! ```
 
-use sparse_synth::formats::descriptors;
-use sparse_synth::synthesis::{synthesize, Conversion, SynthesisOptions};
+use sparse_synth::codegen::runtime::RtEnv;
+use sparse_synth::formats::{descriptors, MatrixRef};
+use sparse_synth::synthesis::{
+    bind_matrix, extract_matrix, synthesize, Conversion, SynthesisOptions,
+};
 
 fn main() {
     // ---- COO -> CSR --------------------------------------------------
@@ -51,8 +54,10 @@ fn main() {
     };
     let run = |options: SynthesisOptions| {
         let conv = Conversion::new(&src, &dst, options).unwrap();
-        let (out, stats) = conv.run_coo_to_csr(&coo).unwrap();
-        (out, stats)
+        let mut env = RtEnv::new();
+        bind_matrix(&mut env, &conv.synth.src, MatrixRef::Coo(&coo)).unwrap();
+        let stats = conv.execute_env(&mut env).unwrap();
+        (extract_matrix(&mut env, &conv.synth.dst, coo.nr, coo.nc).unwrap(), stats)
     };
     let (a, naive_stats) = run(naive_opts);
     let (b, opt_stats) = run(SynthesisOptions::default());

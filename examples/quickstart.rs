@@ -5,8 +5,9 @@
 //! cargo run --example quickstart
 //! ```
 
-use sparse_synth::formats::{descriptors, CooMatrix, CsrMatrix};
-use sparse_synth::synthesis::{Conversion, SynthesisOptions};
+use sparse_synth::codegen::runtime::RtEnv;
+use sparse_synth::formats::{descriptors, AnyMatrix, CooMatrix, CsrMatrix, MatrixRef};
+use sparse_synth::synthesis::{bind_matrix, extract_matrix, Conversion, SynthesisOptions};
 
 fn main() {
     // 1. Format descriptors (Table 1 of the paper): sorted COO and CSR.
@@ -55,7 +56,16 @@ fn main() {
         vec![10.0, 20.0, 30.0, 40.0, 50.0],
     )
     .expect("valid COO");
-    let (csr, stats) = conv.run_coo_to_csr(&coo).expect("conversion runs");
+    // Bind the input under the source descriptor's names, run the
+    // inspector with statement counting on, and extract the destination.
+    // (`Conversion::run` does the same in one call, without the counts.)
+    let mut env = RtEnv::new();
+    bind_matrix(&mut env, &conv.synth.src, MatrixRef::Coo(&coo)).expect("source binds");
+    let stats = conv.execute_env(&mut env).expect("conversion runs");
+    let Ok(AnyMatrix::Csr(csr)) = extract_matrix(&mut env, &conv.synth.dst, coo.nr, coo.nc)
+    else {
+        panic!("CSR destination extracts")
+    };
     println!("=== Result ===");
     println!("rowptr = {:?}", csr.rowptr);
     println!("col    = {:?}", csr.col);

@@ -45,6 +45,12 @@ cargo test -q -p sparse-synthesis --test differential
 cargo test -q -p sparse-engine --test differential
 cargo test -q -p sparse-engine --test backend
 
+echo "==> benchmark package builds and tests (perfbench, own workspace)"
+# perfbench/ compiles against the workspace crates' public API by path;
+# building it here makes an API change that breaks the benchmark fail
+# this gate rather than the benchmark run.
+CARGO_TARGET_DIR=.bench_build cargo test -q --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo run --release --example lint_descriptor (static-analysis gate)"
 # Lints every catalog descriptor and statically verifies every
 # synthesizable conversion plan; exits nonzero on any error or warning.

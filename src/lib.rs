@@ -23,7 +23,8 @@
 //! ## Quickstart
 //!
 //! ```
-//! use sparse_synth::formats::{descriptors, CooMatrix};
+//! use sparse_synth::formats::{descriptors, AnyMatrix, CooMatrix, MatrixRef};
+//! use sparse_synth::obs::NoopSubscriber;
 //! use sparse_synth::synthesis::{Conversion, SynthesisOptions};
 //!
 //! // Synthesize sorted-COO -> CSR (the paper's headline conversion).
@@ -36,10 +37,11 @@
 //! // The optimizer proved the permutation is the identity and removed it.
 //! assert!(conv.synth.identity_eliminated);
 //!
-//! // Run it on a real matrix.
+//! // Run it on a real matrix: validate, bind, execute, extract.
 //! let coo = CooMatrix::from_triplets(
 //!     2, 2, vec![0, 1], vec![1, 0], vec![1.0, 2.0]).unwrap();
-//! let (csr, _) = conv.run_coo_to_csr(&coo).unwrap();
+//! let out = conv.run(MatrixRef::Coo(&coo), true, 0, &NoopSubscriber).unwrap();
+//! let AnyMatrix::Csr(csr) = out else { panic!("CSR destination") };
 //! assert_eq!(csr.rowptr, vec![0, 1, 2]);
 //!
 //! // Or inspect the synthesized C code.

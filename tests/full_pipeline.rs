@@ -3,11 +3,28 @@
 //! synthetic evaluation suite, checked against the reference conversions.
 
 use sparse_synth::baselines::{self, Library};
-use sparse_synth::formats::{descriptors, CooMatrix, CscMatrix, CsrMatrix, DiaMatrix};
+use sparse_synth::formats::{
+    descriptors, AnyMatrix, AnyTensor, CooMatrix, CscMatrix, CsrMatrix, DiaMatrix, MatrixRef,
+    MortonCoo3Tensor, TensorRef,
+};
 use sparse_synth::matgen::suite::{table3_suite, table4_suite};
+use sparse_synth::obs::NoopSubscriber;
 use sparse_synth::synthesis::{Conversion, SynthesisOptions};
 
 const SCALE: usize = 1024;
+
+/// Runs `conv` on a validated matrix, unobserved.
+fn run(conv: &Conversion, m: MatrixRef<'_>) -> AnyMatrix {
+    conv.run(m, true, 0, &NoopSubscriber).unwrap()
+}
+
+/// Runs a tensor reorder `conv` on a validated input, unobserved.
+fn run_mcoo3(conv: &Conversion, t: TensorRef<'_>) -> MortonCoo3Tensor {
+    match conv.run(t, true, 0, &NoopSubscriber).unwrap() {
+        AnyTensor::MortonCoo3(mt) => mt,
+        other => panic!("expected mcoo3, got {}", other.label()),
+    }
+}
 
 fn suite_matrices() -> Vec<(String, CooMatrix)> {
     table3_suite()
@@ -25,8 +42,8 @@ fn coo_to_csr_whole_suite() {
     )
     .unwrap();
     for (name, coo) in suite_matrices() {
-        let (got, _) = conv.run_coo_to_csr(&coo).unwrap();
-        assert_eq!(got, CsrMatrix::from_coo(&coo), "{name}");
+        let got = run(&conv, MatrixRef::Coo(&coo));
+        assert_eq!(got, AnyMatrix::Csr(CsrMatrix::from_coo(&coo)), "{name}");
     }
 }
 
@@ -39,8 +56,8 @@ fn coo_to_csc_whole_suite() {
     )
     .unwrap();
     for (name, coo) in suite_matrices() {
-        let (got, _) = conv.run_coo_to_csc(&coo).unwrap();
-        assert_eq!(got, CscMatrix::from_coo(&coo), "{name}");
+        let got = run(&conv, MatrixRef::Coo(&coo));
+        assert_eq!(got, AnyMatrix::Csc(CscMatrix::from_coo(&coo)), "{name}");
     }
 }
 
@@ -54,8 +71,8 @@ fn csr_to_csc_whole_suite() {
     .unwrap();
     for (name, coo) in suite_matrices() {
         let csr = CsrMatrix::from_coo(&coo);
-        let (got, _) = conv.run_csr_to_csc(&csr).unwrap();
-        assert_eq!(got, CscMatrix::from_csr(&csr), "{name}");
+        let got = run(&conv, MatrixRef::Csr(&csr));
+        assert_eq!(got, AnyMatrix::Csc(CscMatrix::from_csr(&csr)), "{name}");
     }
 }
 
@@ -73,8 +90,9 @@ fn coo_to_dia_banded_suite_linear_and_binary() {
                 continue;
             }
             let coo = spec.generate(SCALE);
-            let (got, _) = conv.run_coo_to_dia(&coo).unwrap();
-            assert_eq!(got, DiaMatrix::from_coo(&coo), "{} bs={binary_search}", spec.name);
+            let got = run(&conv, MatrixRef::Coo(&coo));
+            let want = AnyMatrix::Dia(DiaMatrix::from_coo(&coo));
+            assert_eq!(got, want, "{} bs={binary_search}", spec.name);
         }
     }
 }
@@ -89,7 +107,7 @@ fn coo3_to_mcoo3_tensor_suite() {
     .unwrap();
     for spec in table4_suite() {
         let t = spec.generate(SCALE * 32);
-        let (got, _) = conv.run_coo3_to_mcoo3(&t).unwrap();
+        let got = run_mcoo3(&conv, TensorRef::Coo3(&t));
         got.validate().unwrap();
         // Agreement with the hand-written HiCOO comparator: identical
         // coordinate sequences.
@@ -111,11 +129,11 @@ fn baselines_agree_with_synthesized_on_suite_sample() {
     )
     .unwrap();
     for (name, coo) in suite_matrices().into_iter().take(6) {
-        let (ours, _) = conv.run_coo_to_csr(&coo).unwrap();
+        let ours = run(&conv, MatrixRef::Coo(&coo));
         for lib in Library::ALL {
             let routine = baselines::coo_to_csr(lib);
             let (theirs, _) = baselines::run_coo_to_csr(&routine, &coo).unwrap();
-            assert_eq!(ours, theirs, "{name} vs {}", lib.name());
+            assert_eq!(ours, AnyMatrix::Csr(theirs), "{name} vs {}", lib.name());
         }
     }
 }
@@ -133,37 +151,25 @@ fn spmv_is_preserved_across_all_conversions() {
         a.iter().zip(b).all(|(p, q)| (p - q).abs() < 1e-9)
     };
 
-    let csr = Conversion::new(
-        &descriptors::scoo(),
-        &descriptors::csr(),
-        SynthesisOptions::default(),
-    )
-    .unwrap()
-    .run_coo_to_csr(&coo)
-    .unwrap()
-    .0;
+    let convert = |dst, options| {
+        let conv = Conversion::new(&descriptors::scoo(), &dst, options).unwrap();
+        run(&conv, MatrixRef::Coo(&coo))
+    };
+
+    let AnyMatrix::Csr(csr) = convert(descriptors::csr(), SynthesisOptions::default()) else {
+        panic!("expected CSR")
+    };
     assert!(close(&csr.spmv(&x), &want));
 
-    let csc = Conversion::new(
-        &descriptors::scoo(),
-        &descriptors::csc(),
-        SynthesisOptions::default(),
-    )
-    .unwrap()
-    .run_coo_to_csc(&coo)
-    .unwrap()
-    .0;
+    let AnyMatrix::Csc(csc) = convert(descriptors::csc(), SynthesisOptions::default()) else {
+        panic!("expected CSC")
+    };
     assert!(close(&csc.spmv(&x), &want));
 
-    let dia = Conversion::new(
-        &descriptors::scoo(),
-        &descriptors::dia(),
-        SynthesisOptions { optimize: true, binary_search: true },
-    )
-    .unwrap()
-    .run_coo_to_dia(&coo)
-    .unwrap()
-    .0;
+    let bsearch = SynthesisOptions { optimize: true, binary_search: true };
+    let AnyMatrix::Dia(dia) = convert(descriptors::dia(), bsearch) else {
+        panic!("expected DIA")
+    };
     assert!(close(&dia.spmv(&x), &want));
 }
 
@@ -184,8 +190,8 @@ fn chained_conversions_round_trip() {
         SynthesisOptions::default(),
     )
     .unwrap();
-    let (csr, _) = to_csr.run_coo_to_csr(&coo).unwrap();
-    let (csc, _) = to_csc.run_csr_to_csc(&csr).unwrap();
+    let csr = run(&to_csr, MatrixRef::Coo(&coo));
+    let AnyMatrix::Csc(csc) = run(&to_csc, csr.as_ref()) else { panic!("expected CSC") };
     assert_eq!(csc.to_dense(), coo.to_dense());
 }
 
@@ -229,7 +235,7 @@ fn synthesized_reorder_feeds_hicoo_construction() {
         SynthesisOptions::default(),
     )
     .unwrap();
-    let (mcoo3, _) = conv.run_coo3_to_mcoo3(&t).unwrap();
+    let mcoo3 = run_mcoo3(&conv, TensorRef::Coo3(&t));
     let via_synthesis = HicooTensor::from_mcoo3(&mcoo3, 4);
     let from_scratch = HicooTensor::from_coo3(&t, 4);
     assert_eq!(via_synthesis, from_scratch);

@@ -4,9 +4,16 @@
 
 use proptest::prelude::*;
 use sparse_synth::formats::{
-    descriptors, CooMatrix, CscMatrix, CsrMatrix, DiaMatrix, MortonCooMatrix,
+    descriptors, AnyMatrix, CooMatrix, CscMatrix, CsrMatrix, DiaMatrix, MatrixRef,
+    MortonCooMatrix,
 };
+use sparse_synth::obs::NoopSubscriber;
 use sparse_synth::synthesis::{Conversion, SynthesisOptions};
+
+/// Runs `conv` on a validated input, unobserved.
+fn run(conv: &Conversion, m: MatrixRef<'_>) -> AnyMatrix {
+    conv.run(m, true, 0, &NoopSubscriber).unwrap()
+}
 
 /// Arbitrary sparse matrix: dimensions up to 24x24, unique coordinates,
 /// arbitrary (finite, nonzero) values.
@@ -43,8 +50,8 @@ proptest! {
         let conv = Conversion::new(
             &descriptors::scoo(), &descriptors::csr(), SynthesisOptions::default(),
         ).unwrap();
-        let (got, _) = conv.run_coo_to_csr(&coo).unwrap();
-        prop_assert_eq!(got, CsrMatrix::from_coo(&coo));
+        let got = run(&conv, MatrixRef::Coo(&coo));
+        prop_assert_eq!(got, AnyMatrix::Csr(CsrMatrix::from_coo(&coo)));
     }
 
     /// Unsorted COO -> CSR through the full permutation machinery.
@@ -53,8 +60,8 @@ proptest! {
         let conv = Conversion::new(
             &descriptors::coo(), &descriptors::csr(), SynthesisOptions::default(),
         ).unwrap();
-        let (got, _) = conv.run_coo_to_csr(&coo).unwrap();
-        prop_assert_eq!(got, CsrMatrix::from_coo(&coo));
+        let got = run(&conv, MatrixRef::Coo(&coo));
+        prop_assert_eq!(got, AnyMatrix::Csr(CsrMatrix::from_coo(&coo)));
     }
 
     /// Sorted COO -> CSC (permutation required even for sorted input).
@@ -63,8 +70,8 @@ proptest! {
         let conv = Conversion::new(
             &descriptors::scoo(), &descriptors::csc(), SynthesisOptions::default(),
         ).unwrap();
-        let (got, _) = conv.run_coo_to_csc(&coo).unwrap();
-        prop_assert_eq!(got, CscMatrix::from_coo(&coo));
+        let got = run(&conv, MatrixRef::Coo(&coo));
+        prop_assert_eq!(got, AnyMatrix::Csc(CscMatrix::from_coo(&coo)));
     }
 
     /// CSR -> CSC transposition.
@@ -74,8 +81,8 @@ proptest! {
         let conv = Conversion::new(
             &descriptors::csr(), &descriptors::csc(), SynthesisOptions::default(),
         ).unwrap();
-        let (got, _) = conv.run_csr_to_csc(&csr).unwrap();
-        prop_assert_eq!(got, CscMatrix::from_csr(&csr));
+        let got = run(&conv, MatrixRef::Csr(&csr));
+        prop_assert_eq!(got, AnyMatrix::Csc(CscMatrix::from_csr(&csr)));
     }
 
     /// COO -> DIA, both search strategies.
@@ -86,8 +93,8 @@ proptest! {
             &descriptors::dia(),
             SynthesisOptions { optimize: true, binary_search: binary },
         ).unwrap();
-        let (got, _) = conv.run_coo_to_dia(&coo).unwrap();
-        prop_assert_eq!(got, DiaMatrix::from_coo(&coo));
+        let got = run(&conv, MatrixRef::Coo(&coo));
+        prop_assert_eq!(got, AnyMatrix::Dia(DiaMatrix::from_coo(&coo)));
     }
 
     /// COO -> Morton COO: the ordering quantifier holds and values are
@@ -97,8 +104,8 @@ proptest! {
         let conv = Conversion::new(
             &descriptors::scoo(), &descriptors::mcoo(), SynthesisOptions::default(),
         ).unwrap();
-        let (got, _) = conv.run_coo_to_mcoo(&coo).unwrap();
-        prop_assert_eq!(got, MortonCooMatrix::from_coo(&coo));
+        let got = run(&conv, MatrixRef::Coo(&coo));
+        prop_assert_eq!(got, AnyMatrix::MortonCoo(MortonCooMatrix::from_coo(&coo)));
     }
 
     /// Naive (unoptimized) and optimized computations agree — the §3.3
@@ -112,8 +119,8 @@ proptest! {
         let opt = Conversion::new(
             &descriptors::scoo(), &descriptors::csr(), SynthesisOptions::default(),
         ).unwrap();
-        let (a, _) = naive.run_coo_to_csr(&coo).unwrap();
-        let (b, _) = opt.run_coo_to_csr(&coo).unwrap();
+        let a = run(&naive, MatrixRef::Coo(&coo));
+        let b = run(&opt, MatrixRef::Coo(&coo));
         prop_assert_eq!(a, b);
     }
 
@@ -126,8 +133,8 @@ proptest! {
         let to_csc = Conversion::new(
             &descriptors::csr(), &descriptors::csc(), SynthesisOptions::default(),
         ).unwrap();
-        let (csr, _) = to_csr.run_coo_to_csr(&coo).unwrap();
-        let (csc, _) = to_csc.run_csr_to_csc(&csr).unwrap();
+        let csr = run(&to_csr, MatrixRef::Coo(&coo));
+        let AnyMatrix::Csc(csc) = run(&to_csc, csr.as_ref()) else { panic!("expected CSC") };
         prop_assert_eq!(csc.to_dense(), coo.to_dense());
     }
 }
