@@ -115,30 +115,23 @@ fn main() {
     //    interpreter, extract). Validation cost is measured directly
     //    (it is deterministic) rather than by differencing two noisy
     //    end-to-end timings, and must stay in the noise (<5%) next to
-    //    the interpreter.
+    //    the interpreter. The two sides alternate sample by sample, as
+    //    in gate 4, so both see the same interpreter speed level.
     let plan = engine.plan(&src, &dst).unwrap();
-    let validate_only = median(
-        (0..SAMPLES * 3)
-            .map(|_| {
-                time(|| {
-                    sparse_formats::validate_matrix(&plan.synth.src, (&input).into()).unwrap()
-                })
-            })
-            .collect(),
-    );
-    let unchecked = median(
-        (0..SAMPLES * 3)
-            .map(|_| {
-                time(|| {
-                    let mut env = RtEnv::new();
-                    bind_matrix(&mut env, &plan.synth.src, input.as_ref()).unwrap();
-                    let stats = plan.execute_env(&mut env).unwrap();
-                    let (nr, nc) = input.dims();
-                    (extract_matrix(&mut env, &plan.synth.dst, nr, nc).unwrap(), stats)
-                })
-            })
-            .collect(),
-    );
+    let (mut validate_only, mut unchecked) = (Vec::new(), Vec::new());
+    for _ in 0..SAMPLES * 3 {
+        validate_only.push(time(|| {
+            sparse_formats::validate_matrix(&plan.synth.src, (&input).into()).unwrap()
+        }));
+        unchecked.push(time(|| {
+            let mut env = RtEnv::new();
+            bind_matrix(&mut env, &plan.synth.src, input.as_ref()).unwrap();
+            let stats = plan.execute_env(&mut env).unwrap();
+            let (nr, nc) = input.dims();
+            (extract_matrix(&mut env, &plan.synth.dst, nr, nc).unwrap(), stats)
+        }));
+    }
+    let (validate_only, unchecked) = (median(validate_only), median(unchecked));
     let overhead = validate_only.as_secs_f64() / unchecked.as_secs_f64();
     eprintln!("  run: execution (unchecked)    {unchecked:>12.2?}");
     eprintln!(

@@ -24,7 +24,7 @@
 use std::time::Instant;
 
 use sparse_baselines::{fig2, hicoo_morton_sort3, Library};
-use sparse_formats::{descriptors, Coo3Tensor, CooMatrix, CsrMatrix, MatrixRef, TensorRef};
+use sparse_formats::{descriptors, CsrMatrix, MatrixRef, TensorRef};
 use sparse_matgen::suite::{table3_suite, table4_suite, MatrixSpec};
 use sparse_synthesis::{bind_matrix, bind_tensor, Conversion, Operand, SynthesisOptions};
 use spf_codegen::runtime::RtEnv;
@@ -295,17 +295,6 @@ pub fn table5() -> String {
         if quantifiers { "yes" } else { "no" }
     ));
     s
-}
-
-/// A small sorted COO fixture for bench smoke tests.
-pub fn small_fixture() -> CooMatrix {
-    let spec = &table3_suite()[1]; // jnlbrng1 (stencil5)
-    spec.generate(512)
-}
-
-/// A small sorted COO3 fixture.
-pub fn small_tensor_fixture() -> Coo3Tensor {
-    table4_suite()[0].generate(8192)
 }
 
 #[cfg(test)]

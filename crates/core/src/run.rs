@@ -10,7 +10,7 @@ use std::time::Instant;
 
 use sparse_formats::{
     AnyMatrix, AnyTensor, Coo3Tensor, CooMatrix, CscMatrix, CsrMatrix, DiaMatrix, EllMatrix,
-    FormatDescriptor, FormatError, FormatKind, MatrixRef, MortonCoo3Tensor, MortonCooMatrix,
+    FormatDescriptor, FormatKind, MatrixRef, MortonCoo3Tensor, MortonCooMatrix,
     TensorRef, ValidationError,
 };
 use sparse_obs::{Span, Stage, Subscriber};
@@ -30,8 +30,11 @@ pub enum RunError {
     /// Execution failed.
     Exec(ExecError),
     /// The produced destination data violates the format's invariants
-    /// (this would indicate a synthesis bug).
-    Format(FormatError),
+    /// (this would indicate a synthesis bug, or a kernel building a
+    /// container its destination refuses). The error names the failed
+    /// container check in the same vocabulary as
+    /// [`RunError::InvalidInput`].
+    Format(ValidationError),
     /// A name expected in the environment after execution is missing.
     MissingOutput(String),
     /// The descriptor is malformed for its structural kind (missing
@@ -108,12 +111,10 @@ impl From<ExecError> for RunError {
     }
 }
 
-impl From<FormatError> for RunError {
-    fn from(e: FormatError) -> Self {
-        RunError::Format(e)
-    }
-}
-
+/// A [`ValidationError`] converted implicitly is an *input* verdict
+/// ([`RunError::InvalidInput`]): `?` on `validate_matrix`/`validate_tensor`.
+/// Output checks — a container constructor or `validate()` on what a plan
+/// or kernel produced — map to [`RunError::Format`] explicitly.
 impl From<ValidationError> for RunError {
     fn from(e: ValidationError) -> Self {
         RunError::InvalidInput { check: e.check.as_str(), detail: e.detail }
@@ -503,11 +504,13 @@ pub fn extract_matrix(
 ) -> Result<AnyMatrix, RunError> {
     match desc.kind() {
         FormatKind::Coo | FormatKind::SortedCoo => {
-            Ok(AnyMatrix::Coo(extract_coo(env, desc, nr, nc)?))
+            let coo = take_coo(env, desc, nr, nc)?;
+            coo.validate().map_err(RunError::Format)?;
+            Ok(AnyMatrix::Coo(coo))
         }
         FormatKind::MortonCoo => {
-            let coo = extract_coo(env, desc, nr, nc)?;
-            Ok(AnyMatrix::MortonCoo(MortonCooMatrix::new(coo)?))
+            let coo = take_coo(env, desc, nr, nc)?;
+            Ok(AnyMatrix::MortonCoo(MortonCooMatrix::new(coo).map_err(RunError::Format)?))
         }
         FormatKind::Csr => Ok(AnyMatrix::Csr(extract_csr(env, desc, nr, nc)?)),
         FormatKind::Csc => Ok(AnyMatrix::Csc(extract_csc(env, desc, nr, nc)?)),
@@ -531,10 +534,14 @@ pub fn extract_tensor(
     dims: (usize, usize, usize),
 ) -> Result<AnyTensor, RunError> {
     match desc.kind() {
-        FormatKind::Coo3 => Ok(AnyTensor::Coo3(extract_coo3(env, desc, dims)?)),
+        FormatKind::Coo3 => {
+            let coo = take_coo3(env, desc, dims)?;
+            coo.validate().map_err(RunError::Format)?;
+            Ok(AnyTensor::Coo3(coo))
+        }
         FormatKind::MortonCoo3 => {
-            let coo = extract_coo3(env, desc, dims)?;
-            Ok(AnyTensor::MortonCoo3(MortonCoo3Tensor::new(coo)?))
+            let coo = take_coo3(env, desc, dims)?;
+            Ok(AnyTensor::MortonCoo3(MortonCoo3Tensor::new(coo).map_err(RunError::Format)?))
         }
         kind => Err(RunError::Unsupported(format!(
             "no tensor extractor for destination descriptor `{}` (kind {kind:?})",
@@ -734,7 +741,7 @@ fn extract_csr(
     let rowptr = take_uf(env, &pointer_uf(desc)?)?;
     let col = take_uf(env, &coord_uf(desc, 1, "column UF")?)?;
     let val = take_data(env, &desc.data_name)?;
-    Ok(CsrMatrix::new(nr, nc, rowptr, col, val)?)
+    CsrMatrix::new(nr, nc, rowptr, col, val).map_err(RunError::Format)
 }
 
 /// Extracts a (validated) CSC matrix.
@@ -750,14 +757,15 @@ fn extract_csc(
     let colptr = take_uf(env, &pointer_uf(desc)?)?;
     let row = take_uf(env, &coord_uf(desc, 0, "row UF")?)?;
     let val = take_data(env, &desc.data_name)?;
-    Ok(CscMatrix::new(nr, nc, colptr, row, val)?)
+    CscMatrix::new(nr, nc, colptr, row, val).map_err(RunError::Format)
 }
 
-/// Extracts a (validated) COO matrix.
+/// Takes the COO arrays written under `desc`'s names, unvalidated: the
+/// caller validates them as the container the destination calls for.
 ///
 /// # Errors
-/// Fails on missing outputs or invariant violations.
-fn extract_coo(
+/// Fails on missing outputs.
+fn take_coo(
     env: &mut RtEnv<'_>,
     desc: &FormatDescriptor,
     nr: usize,
@@ -766,23 +774,23 @@ fn extract_coo(
     let row = take_uf(env, &coord_uf(desc, 0, "row UF")?)?;
     let col = take_uf(env, &coord_uf(desc, 1, "column UF")?)?;
     let val = take_data(env, &desc.data_name)?;
-    Ok(CooMatrix::from_triplets(nr, nc, row, col, val)?)
+    Ok(CooMatrix { nr, nc, row, col, val })
 }
 
-/// Extracts a (validated) order-3 COO tensor.
+/// Takes an order-3 COO tensor's arrays, unvalidated (see [`take_coo`]).
 ///
 /// # Errors
-/// Fails on missing outputs or invariant violations.
-fn extract_coo3(
+/// Fails on missing outputs.
+fn take_coo3(
     env: &mut RtEnv<'_>,
     desc: &FormatDescriptor,
-    dims: (usize, usize, usize),
+    (nr, nc, nz): (usize, usize, usize),
 ) -> Result<Coo3Tensor, RunError> {
     let i0 = take_uf(env, &coord_uf(desc, 0, "mode-0 UF")?)?;
     let i1 = take_uf(env, &coord_uf(desc, 1, "mode-1 UF")?)?;
     let i2 = take_uf(env, &coord_uf(desc, 2, "mode-2 UF")?)?;
     let val = take_data(env, &desc.data_name)?;
-    Ok(Coo3Tensor::from_coords(dims, i0, i1, i2, val)?)
+    Ok(Coo3Tensor { nr, nc, nz, i0, i1, i2, val })
 }
 
 /// Extracts a (validated) DIA matrix.
@@ -797,5 +805,5 @@ fn extract_dia(
 ) -> Result<DiaMatrix, RunError> {
     let off = take_uf(env, &sole_uf(desc, "offset")?)?;
     let data = take_data(env, &desc.data_name)?;
-    Ok(DiaMatrix::new(nr, nc, off, data)?)
+    DiaMatrix::new(nr, nc, off, data).map_err(RunError::Format)
 }

@@ -14,7 +14,8 @@
 //! * both equal the `sparse_formats` container reference conversion of
 //!   the input's stably sorted triplets — except on duplicate
 //!   coordinates, where no catalog plan produces the reference and each
-//!   pair's outcome is pinned in [`ON_DUPLICATES`];
+//!   pair's outcome is pinned in [`ON_DUPLICATES`], down to the
+//!   container check that refuses the output;
 //! * under `Auto`, a pair whose plan `has_kernel()` is served by the
 //!   kernel (a hit, or a decline on duplicate coordinates followed by the
 //!   interpreter), and a pair without one never touches a kernel.
@@ -24,12 +25,13 @@ use std::fmt::Debug;
 use sparse_engine::{Backend, Engine, EngineConfig, EngineError, EngineStats};
 use sparse_formats::{
     AnyMatrix, AnyTensor, Coo3Tensor, CooMatrix, CscMatrix, CsrMatrix, DiaMatrix, EllMatrix,
-    FormatDescriptor, MortonCoo3Tensor, MortonCooMatrix,
+    FormatDescriptor, InputCheck, MortonCoo3Tensor, MortonCooMatrix,
 };
 use sparse_matgen::catalog::{pair_descriptors, MATRIX_PAIRS, TENSOR_PAIRS};
 use sparse_matgen::{
     banded, power_law, random_uniform, shuffle_perm, skewed_tensor, spread_offsets, stencil5,
 };
+use sparse_synthesis::RunError;
 
 /// What a pair with an unordered source returns for repeated coordinates
 /// (valid input: the `coo` and `coo3` descriptors carry no uniqueness
@@ -37,9 +39,13 @@ use sparse_matgen::{
 /// duplicates; both backends must return the same one.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum OnDuplicates {
-    /// A typed error: the destination orders its coordinates strictly, so
-    /// output validation refuses the container.
-    Refused,
+    /// A typed output error, `RunError::Format`, naming one of these
+    /// container checks, every one of which some input triggers: the
+    /// destination orders its coordinates strictly, so its `validate()`
+    /// refuses what the plan wrote. The doubly written slot repeats an
+    /// index and the unwritten one keeps a zero, so which check fires
+    /// first depends on where they land.
+    Refused(&'static [InputCheck]),
     /// Silent garbage: a container that is not the input's conversion.
     /// The permutation plans give a repeated coordinate its first
     /// occurrence's `P.rank`, so they write one slot twice and leave
@@ -51,13 +57,17 @@ enum OnDuplicates {
 /// one of these cases must update the table.
 const ON_DUPLICATES: [((&str, &str), OnDuplicates); 7] = [
     (("coo", "scoo"), OnDuplicates::Silent),
-    (("coo", "csr"), OnDuplicates::Refused),
-    (("coo", "csc"), OnDuplicates::Refused),
+    (("coo", "csr"), OnDuplicates::Refused(ORDER_OR_REPEAT)),
+    (("coo", "csc"), OnDuplicates::Refused(ORDER_OR_REPEAT)),
     (("coo", "dia"), OnDuplicates::Silent),
-    (("coo", "mcoo"), OnDuplicates::Refused),
+    (("coo", "mcoo"), OnDuplicates::Refused(&[InputCheck::Ordering])),
     (("coo3", "scoo3"), OnDuplicates::Silent),
-    (("coo3", "mcoo3"), OnDuplicates::Refused),
+    (("coo3", "mcoo3"), OnDuplicates::Refused(&[InputCheck::Ordering])),
 ];
+
+/// The compressed destinations' minor-index check reports a repeated
+/// index as `DuplicateCoordinate` and a decrease as `Ordering`.
+const ORDER_OR_REPEAT: &[InputCheck] = &[InputCheck::Ordering, InputCheck::DuplicateCoordinate];
 
 fn on_duplicates(pair: (&str, &str)) -> OnDuplicates {
     ON_DUPLICATES
@@ -255,21 +265,24 @@ fn assert_same_outcome<T: PartialEq + Debug>(
     }
 }
 
+/// The two backends' outcomes for one input, `Auto` first.
+type Outcomes<T> = [Result<T, EngineError>; 2];
+
 /// Runs one matrix input through both engines, asserts they agree, and
-/// returns the `Auto` outcome with its route.
+/// returns both outcomes with the `Auto` route.
 fn run_both(
     auto: &Engine,
     interp: &Engine,
     descs: &(FormatDescriptor, FormatDescriptor),
     input: &AnyMatrix,
     label: &str,
-) -> (Result<AnyMatrix, EngineError>, Route) {
+) -> (Outcomes<AnyMatrix>, Route) {
     let before = auto.stats();
     let a = auto.convert(&descs.0, &descs.1, input);
     let taken = route(&before, &auto.stats());
     let i = interp.convert(&descs.0, &descs.1, input);
     assert_same_outcome(label, &a, &i, matrix_value_bits);
-    (a, taken)
+    ([a, i], taken)
 }
 
 #[test]
@@ -284,7 +297,7 @@ fn every_matrix_pair_agrees_across_backends_and_with_references() {
         for (k, (name, base)) in bases.iter().enumerate() {
             let label = format!("{src}->{dst} [{name}]");
             let input = matrix_source(src, base, k as u64 + 1);
-            let (out, taken) = run_both(&auto, &interp, &descs, &input, &label);
+            let ([out, _], taken) = run_both(&auto, &interp, &descs, &input, &label);
             let out = out.unwrap_or_else(|e| panic!("{label}: {e}"));
             assert!(
                 matrix_reference_matches(dst, base, &out),
@@ -321,24 +334,33 @@ fn every_matrix_pair_agrees_across_backends_and_with_references() {
     );
 }
 
-/// The duplicate-coordinate contract for one outcome: exactly what
-/// [`ON_DUPLICATES`] pins for the pair, and never the reference.
+/// The duplicate-coordinate contract for both backends' outcomes:
+/// exactly what [`ON_DUPLICATES`] pins for the pair, and never the
+/// reference. Returns the refusing check, if any.
 fn check_duplicate_outcome<T: Debug>(
     label: &str,
     expected: OnDuplicates,
-    out: &Result<T, EngineError>,
+    outs: &Outcomes<T>,
     matches_reference: impl Fn(&T) -> bool,
-) {
-    match (expected, out) {
-        (OnDuplicates::Silent, Ok(o)) => {
-            assert!(
-                !matches_reference(o),
-                "{label}: now matches the reference; update ON_DUPLICATES"
-            )
+) -> Option<InputCheck> {
+    let mut refused_by = None;
+    for (backend, out) in ["Auto", "InterpreterOnly"].into_iter().zip(outs) {
+        match (expected, out) {
+            (OnDuplicates::Silent, Ok(o)) => {
+                assert!(
+                    !matches_reference(o),
+                    "{label} {backend}: now matches the reference; update ON_DUPLICATES"
+                )
+            }
+            (OnDuplicates::Refused(checks), Err(EngineError::Run(RunError::Format(e))))
+                if checks.contains(&e.check) =>
+            {
+                refused_by = Some(e.check);
+            }
+            (expected, out) => panic!("{label} {backend}: expected {expected:?}, got {out:?}"),
         }
-        (OnDuplicates::Refused, Err(EngineError::Run(_))) => {}
-        (expected, out) => panic!("{label}: expected {expected:?}, got {out:?}"),
     }
+    refused_by
 }
 
 #[test]
@@ -353,17 +375,23 @@ fn unsorted_coo_with_duplicates_agrees_across_backends() {
         let (auto, interp) = engines();
         let has_kernel = auto.plan(&descs.0, &descs.1).unwrap().has_kernel();
         let expected = on_duplicates((src, dst));
+        let mut refused_by = Vec::new();
         for (name, input) in duplicate_inputs() {
             let label = format!("{src}->{dst} [{name}]");
             let mut sorted = input.clone();
             sorted.sort_row_major();
-            let (out, taken) = run_both(&auto, &interp, &descs, &AnyMatrix::Coo(input), &label);
-            check_duplicate_outcome(&label, expected, &out, |o| {
+            let (outs, taken) = run_both(&auto, &interp, &descs, &AnyMatrix::Coo(input), &label);
+            refused_by.extend(check_duplicate_outcome(&label, expected, &outs, |o| {
                 matrix_reference_matches(dst, &sorted, o)
-            });
+            }));
             match (has_kernel, taken) {
                 (true, Route::Kernel | Route::DeclinedThenInterp) | (false, Route::Interp) => {}
                 (_, taken) => panic!("{label}: route {taken:?} with has_kernel={has_kernel}"),
+            }
+        }
+        if let OnDuplicates::Refused(checks) = expected {
+            for check in checks {
+                assert!(refused_by.contains(check), "{src}->{dst}: no input refused by {check}");
             }
         }
         let (stats, istats) = (auto.stats(), interp.stats());
@@ -488,7 +516,7 @@ fn every_tensor_pair_agrees_across_backends_and_with_references() {
             assert_same_outcome(&label, &a, &i, tensor_value_bits);
             let duplicates = name == "duplicates";
             if duplicates {
-                check_duplicate_outcome(&label, on_duplicates((src, dst)), &a, |o| {
+                check_duplicate_outcome(&label, on_duplicates((src, dst)), &[a, i], |o| {
                     tensor_reference_matches(dst, &sorted, o)
                 });
             } else {

@@ -9,7 +9,8 @@
 use std::cmp::Ordering;
 
 use super::dense::DenseMatrix;
-use crate::FormatError;
+use super::in_bounds;
+use crate::validate::{InputCheck, ValidationError};
 
 /// A COO matrix: parallel `row`/`col`/`val` arrays.
 #[derive(Debug, Clone, PartialEq)]
@@ -27,34 +28,54 @@ pub struct CooMatrix {
 }
 
 impl CooMatrix {
-    /// Builds from triplets after validating coordinate bounds and array
-    /// lengths.
+    /// Builds from triplets after validating array lengths and coordinate
+    /// bounds (see [`CooMatrix::validate`]).
     ///
     /// # Errors
-    /// Returns [`FormatError`] for mismatched lengths or out-of-range
-    /// coordinates.
+    /// Returns the first violated invariant.
     pub fn from_triplets(
         nr: usize,
         nc: usize,
         row: Vec<i64>,
         col: Vec<i64>,
         val: Vec<f64>,
-    ) -> Result<Self, FormatError> {
-        if row.len() != col.len() || row.len() != val.len() {
-            return Err(FormatError::LengthMismatch {
-                what: "COO row/col/val",
-                lens: vec![row.len(), col.len(), val.len()],
-            });
+    ) -> Result<Self, ValidationError> {
+        let m = CooMatrix { nr, nc, row, col, val };
+        m.validate()?;
+        Ok(m)
+    }
+
+    /// Checks the COO descriptor's structural invariants: parallel
+    /// `row`/`col`/`val` arrays, and every coordinate inside the declared
+    /// `NR × NC` bounds (the UFs' ranges). Ordering is not a property of
+    /// the container: the descriptor a COO matrix is read under claims it
+    /// (see [`crate::validate_matrix`]).
+    ///
+    /// # Errors
+    /// Returns the first violated invariant.
+    pub fn validate(&self) -> Result<(), ValidationError> {
+        if self.row.len() != self.col.len() || self.row.len() != self.val.len() {
+            return Err(ValidationError::new(
+                InputCheck::ArrayLengths,
+                format!(
+                    "COO row/col/val lengths differ: {}/{}/{}",
+                    self.row.len(),
+                    self.col.len(),
+                    self.val.len()
+                ),
+            ));
         }
-        for (&i, &j) in row.iter().zip(&col) {
-            if i < 0 || i as usize >= nr || j < 0 || j as usize >= nc {
-                return Err(FormatError::CoordinateOutOfRange {
-                    coords: vec![i, j],
-                    dims: vec![nr, nc],
-                });
-            }
+        let (nr, nc) = (self.nr, self.nc);
+        if let Some(n) = (self.row.iter().zip(&self.col))
+            .position(|(&i, &j)| !(in_bounds(i, nr) & in_bounds(j, nc)))
+        {
+            let (i, j) = (self.row[n], self.col[n]);
+            return Err(ValidationError::new(
+                InputCheck::IndexBounds,
+                format!("nonzero {n} at ({i}, {j}) outside {nr}x{nc}"),
+            ));
         }
-        Ok(CooMatrix { nr, nc, row, col, val })
+        Ok(())
     }
 
     /// Number of stored nonzeros (`NNZ`).
@@ -156,40 +177,56 @@ pub struct Coo3Tensor {
 }
 
 impl Coo3Tensor {
-    /// Builds from coordinate lists after validation.
+    /// Builds from coordinate lists after validation (see
+    /// [`Coo3Tensor::validate`]).
     ///
     /// # Errors
-    /// Returns [`FormatError`] for mismatched lengths or out-of-range
-    /// coordinates.
+    /// Returns the first violated invariant.
     pub fn from_coords(
         dims: (usize, usize, usize),
         i0: Vec<i64>,
         i1: Vec<i64>,
         i2: Vec<i64>,
         val: Vec<f64>,
-    ) -> Result<Self, FormatError> {
+    ) -> Result<Self, ValidationError> {
         let (nr, nc, nz) = dims;
-        if i0.len() != i1.len() || i0.len() != i2.len() || i0.len() != val.len() {
-            return Err(FormatError::LengthMismatch {
-                what: "COO3 coords/val",
-                lens: vec![i0.len(), i1.len(), i2.len(), val.len()],
-            });
+        let t = Coo3Tensor { nr, nc, nz, i0, i1, i2, val };
+        t.validate()?;
+        Ok(t)
+    }
+
+    /// Checks the COO3D descriptor's structural invariants: parallel
+    /// coordinate and value arrays, every coordinate inside
+    /// `NR × NC × NZ`. As for [`CooMatrix`], ordering is the descriptor's
+    /// claim, not the container's.
+    ///
+    /// # Errors
+    /// Returns the first violated invariant.
+    pub fn validate(&self) -> Result<(), ValidationError> {
+        let n = self.val.len();
+        if self.i0.len() != n || self.i1.len() != n || self.i2.len() != n {
+            return Err(ValidationError::new(
+                InputCheck::ArrayLengths,
+                format!(
+                    "COO3 coordinate/val lengths differ: {}/{}/{}/{}",
+                    self.i0.len(),
+                    self.i1.len(),
+                    self.i2.len(),
+                    n
+                ),
+            ));
         }
-        for ((&a, &b), &c) in i0.iter().zip(&i1).zip(&i2) {
-            if a < 0
-                || a as usize >= nr
-                || b < 0
-                || b as usize >= nc
-                || c < 0
-                || c as usize >= nz
-            {
-                return Err(FormatError::CoordinateOutOfRange {
-                    coords: vec![a, b, c],
-                    dims: vec![nr, nc, nz],
-                });
-            }
+        let (nr, nc, nz) = (self.nr, self.nc, self.nz);
+        if let Some(n) = (self.i0.iter().zip(&self.i1).zip(&self.i2)).position(|((&a, &b), &c)| {
+            !(in_bounds(a, nr) & in_bounds(b, nc) & in_bounds(c, nz))
+        }) {
+            let (a, b, c) = (self.i0[n], self.i1[n], self.i2[n]);
+            return Err(ValidationError::new(
+                InputCheck::IndexBounds,
+                format!("nonzero {n} at ({a}, {b}, {c}) outside {nr}x{nc}x{nz}"),
+            ));
         }
-        Ok(Coo3Tensor { nr, nc, nz, i0, i1, i2, val })
+        Ok(())
     }
 
     /// Number of stored nonzeros.
@@ -263,14 +300,15 @@ mod tests {
 
     #[test]
     fn validation_rejects_bad_input() {
-        assert!(matches!(
-            CooMatrix::from_triplets(2, 2, vec![0], vec![0, 1], vec![1.0]),
-            Err(FormatError::LengthMismatch { .. })
-        ));
-        assert!(matches!(
-            CooMatrix::from_triplets(2, 2, vec![5], vec![0], vec![1.0]),
-            Err(FormatError::CoordinateOutOfRange { .. })
-        ));
+        let check = |r: Result<CooMatrix, ValidationError>| r.unwrap_err().check;
+        assert_eq!(
+            check(CooMatrix::from_triplets(2, 2, vec![0], vec![0, 1], vec![1.0])),
+            InputCheck::ArrayLengths
+        );
+        assert_eq!(
+            check(CooMatrix::from_triplets(2, 2, vec![5], vec![0], vec![1.0])),
+            InputCheck::IndexBounds
+        );
     }
 
     #[test]

@@ -6,7 +6,8 @@
 
 use super::coo::CooMatrix;
 use super::dense::DenseMatrix;
-use crate::FormatError;
+use super::{check_compressed_minor, check_pointer};
+use crate::validate::{InputCheck, ValidationError};
 
 /// A CSR matrix.
 #[derive(Debug, Clone, PartialEq)]
@@ -27,7 +28,7 @@ impl CsrMatrix {
     /// Builds and validates a CSR matrix.
     ///
     /// # Errors
-    /// Returns [`FormatError`] when any invariant fails (see
+    /// Returns the first violated invariant (see
     /// [`CsrMatrix::validate`]).
     pub fn new(
         nr: usize,
@@ -35,57 +36,29 @@ impl CsrMatrix {
         rowptr: Vec<i64>,
         col: Vec<i64>,
         val: Vec<f64>,
-    ) -> Result<Self, FormatError> {
+    ) -> Result<Self, ValidationError> {
         let m = CsrMatrix { nr, nc, rowptr, col, val };
         m.validate()?;
         Ok(m)
     }
 
-    /// Checks every invariant of the format descriptor: pointer length
-    /// and range (its domain/range in Table 1), monotonicity (its
-    /// universal quantifier), column bounds, and intra-row ordering (the
-    /// second universal quantifier).
+    /// Checks every structural invariant of the format descriptor:
+    /// array lengths, pointer range (its domain/range in Table 1),
+    /// monotonicity (its universal quantifier), column bounds, and
+    /// strictly increasing columns within a row (the second universal
+    /// quantifier).
     ///
     /// # Errors
     /// Returns the first violated invariant.
-    pub fn validate(&self) -> Result<(), FormatError> {
-        if self.rowptr.len() != self.nr + 1 {
-            return Err(FormatError::LengthMismatch {
-                what: "CSR rowptr (must be nr + 1)",
-                lens: vec![self.rowptr.len(), self.nr + 1],
-            });
-        }
+    pub fn validate(&self) -> Result<(), ValidationError> {
         if self.col.len() != self.val.len() {
-            return Err(FormatError::LengthMismatch {
-                what: "CSR col/val",
-                lens: vec![self.col.len(), self.val.len()],
-            });
+            return Err(ValidationError::new(
+                InputCheck::ArrayLengths,
+                format!("CSR col/val lengths differ: {}/{}", self.col.len(), self.val.len()),
+            ));
         }
-        let nnz = self.val.len() as i64;
-        // The length check above guarantees rowptr is non-empty; the -1
-        // sentinel keeps this total (and failing) if that ever regresses.
-        let first = self.rowptr.first().copied().unwrap_or(-1);
-        let last = self.rowptr.last().copied().unwrap_or(-1);
-        if first != 0 || last != nnz {
-            return Err(FormatError::BadPointerEnds { what: "CSR rowptr", first, last, nnz });
-        }
-        if self.rowptr.windows(2).any(|w| w[0] > w[1]) {
-            return Err(FormatError::NotMonotonic { what: "CSR rowptr" });
-        }
-        for i in 0..self.nr {
-            let (s, e) = (self.rowptr[i] as usize, self.rowptr[i + 1] as usize);
-            let row = &self.col[s..e];
-            if row.iter().any(|&j| j < 0 || j as usize >= self.nc) {
-                return Err(FormatError::CoordinateOutOfRange {
-                    coords: row.to_vec(),
-                    dims: vec![self.nr, self.nc],
-                });
-            }
-            if row.windows(2).any(|w| w[0] >= w[1]) {
-                return Err(FormatError::NotSorted { what: "CSR columns within a row" });
-            }
-        }
-        Ok(())
+        check_pointer(&self.rowptr, self.nr, self.val.len(), "CSR rowptr")?;
+        check_compressed_minor(&self.rowptr, &self.col, self.nc, "CSR col")
     }
 
     /// Number of stored nonzeros.
@@ -214,21 +187,22 @@ mod tests {
 
     #[test]
     fn validate_catches_violations() {
+        let check = |r: Result<CsrMatrix, ValidationError>| r.unwrap_err().check;
         // Bad pointer end.
-        assert!(matches!(
-            CsrMatrix::new(1, 2, vec![0, 2], vec![0], vec![1.0]),
-            Err(FormatError::BadPointerEnds { .. })
-        ));
+        assert_eq!(
+            check(CsrMatrix::new(1, 2, vec![0, 2], vec![0], vec![1.0])),
+            InputCheck::PointerEnds
+        );
         // Non-monotonic pointer.
-        assert!(matches!(
-            CsrMatrix::new(2, 2, vec![0, 2, 1], vec![0], vec![1.0]),
-            Err(FormatError::LengthMismatch { .. }) | Err(FormatError::NotMonotonic { .. })
-        ));
+        assert_eq!(
+            check(CsrMatrix::new(2, 2, vec![0, 2, 1], vec![0], vec![1.0])),
+            InputCheck::PointerMonotone
+        );
         // Unsorted columns in a row.
-        assert!(matches!(
-            CsrMatrix::new(1, 3, vec![0, 2], vec![2, 1], vec![1.0, 2.0]),
-            Err(FormatError::NotSorted { .. })
-        ));
+        assert_eq!(
+            check(CsrMatrix::new(1, 3, vec![0, 2], vec![2, 1], vec![1.0, 2.0])),
+            InputCheck::Ordering
+        );
     }
 
     #[test]

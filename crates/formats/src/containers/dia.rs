@@ -9,7 +9,7 @@
 
 use super::coo::CooMatrix;
 use super::dense::DenseMatrix;
-use crate::FormatError;
+use crate::validate::{check_finite, InputCheck, ValidationError};
 
 /// A DIA matrix.
 #[derive(Debug, Clone, PartialEq)]
@@ -29,57 +29,81 @@ impl DiaMatrix {
     /// Builds and validates a DIA matrix.
     ///
     /// # Errors
-    /// Returns [`FormatError`] when any invariant fails.
+    /// Returns the first violated invariant.
     pub fn new(
         nr: usize,
         nc: usize,
         off: Vec<i64>,
         data: Vec<f64>,
-    ) -> Result<Self, FormatError> {
+    ) -> Result<Self, ValidationError> {
         let m = DiaMatrix { nr, nc, off, data };
         m.validate()?;
         Ok(m)
     }
 
-    /// Checks the descriptor invariants: `off` strictly increasing (its
-    /// universal quantifier), offsets within matrix bounds, data length
-    /// `nd * nr`, and zero padding outside the matrix.
+    /// Checks the descriptor invariants: data length `nd * nr`, `off`
+    /// strictly increasing (its universal quantifier), offsets inside
+    /// their declared range `-NR < off < NC`, and zero padding outside the
+    /// matrix.
     ///
     /// # Errors
     /// Returns the first violated invariant.
-    pub fn validate(&self) -> Result<(), FormatError> {
-        if self.off.windows(2).any(|w| w[0] >= w[1]) {
-            return Err(FormatError::NotSorted { what: "DIA offsets" });
-        }
-        if let Some(&o) = self
-            .off
-            .iter()
-            .find(|&&o| o <= -(self.nr as i64) || o >= self.nc as i64)
-        {
-            return Err(FormatError::CoordinateOutOfRange {
-                coords: vec![o],
-                dims: vec![self.nr, self.nc],
-            });
-        }
+    pub fn validate(&self) -> Result<(), ValidationError> {
+        self.check(false)
+    }
+
+    /// [`DiaMatrix::validate`]; `finite` adds the input obligation of
+    /// finite data (see [`crate::validate_matrix`]), checked before the
+    /// padding so that a non-finite padding slot is named as such.
+    pub(crate) fn check(&self, finite: bool) -> Result<(), ValidationError> {
+        let nd = self.nd();
         // checked_mul: with corrupt public fields `nd * nr` can exceed
         // usize, and a wrapping product must read as a length mismatch,
         // not an arithmetic panic.
-        let expected = self.nd().checked_mul(self.nr);
-        if expected != Some(self.data.len()) {
-            return Err(FormatError::LengthMismatch {
-                what: "DIA data (must be nd * nr)",
-                lens: vec![self.data.len(), expected.unwrap_or(usize::MAX)],
-            });
+        let expected = nd.checked_mul(self.nr).ok_or_else(|| {
+            ValidationError::new(
+                InputCheck::ArrayLengths,
+                format!("DIA nd * nr overflows ({nd} * {})", self.nr),
+            )
+        })?;
+        if self.data.len() != expected {
+            return Err(ValidationError::new(
+                InputCheck::ArrayLengths,
+                format!("DIA data has length {}, expected nd * nr = {expected}", self.data.len()),
+            ));
+        }
+        for w in self.off.windows(2) {
+            if w[1] == w[0] {
+                return Err(ValidationError::new(
+                    InputCheck::DuplicateCoordinate,
+                    format!("DIA offset {} appears twice", w[1]),
+                ));
+            }
+            if w[1] < w[0] {
+                return Err(ValidationError::new(
+                    InputCheck::Ordering,
+                    format!("DIA offsets not increasing: {} then {}", w[0], w[1]),
+                ));
+            }
+        }
+        let neg_nr = -(self.nr.min(i64::MAX as usize) as i64);
+        if let Some(d) = self.off.iter().position(|&o| o <= neg_nr || o >= self.nc as i64) {
+            return Err(ValidationError::new(
+                InputCheck::IndexBounds,
+                format!("DIA off[{d}] = {} outside -{} < o < {}", self.off[d], self.nr, self.nc),
+            ));
+        }
+        if finite {
+            check_finite(&self.data, "data")?;
         }
         for i in 0..self.nr {
             for (d, &o) in self.off.iter().enumerate() {
                 let j = i as i64 + o;
-                if (j < 0 || j >= self.nc as i64) && self.data[i * self.nd() + d] != 0.0 {
-                    return Err(FormatError::NonzeroPadding {
-                        what: "DIA out-of-matrix slot",
-                        row: i,
-                        diag: d,
-                    });
+                if (j < 0 || j >= self.nc as i64) && self.data[i * nd + d] != 0.0 {
+                    return Err(ValidationError::new(
+                        InputCheck::PaddingZero,
+                        format!("DIA out-of-matrix slot (row {i}, diagonal {d}) holds a nonzero"),
+                    ));
                 }
             }
         }
@@ -254,26 +278,15 @@ mod tests {
 
     #[test]
     fn validate_catches_violations() {
+        let check = |r: Result<DiaMatrix, ValidationError>| r.unwrap_err().check;
         // Unsorted offsets.
-        assert!(matches!(
-            DiaMatrix::new(2, 2, vec![1, 0], vec![0.0; 4]),
-            Err(FormatError::NotSorted { .. })
-        ));
+        assert_eq!(check(DiaMatrix::new(2, 2, vec![1, 0], vec![0.0; 4])), InputCheck::Ordering);
         // Wrong data length.
-        assert!(matches!(
-            DiaMatrix::new(2, 2, vec![0], vec![0.0; 3]),
-            Err(FormatError::LengthMismatch { .. })
-        ));
+        assert_eq!(check(DiaMatrix::new(2, 2, vec![0], vec![0.0; 3])), InputCheck::ArrayLengths);
         // Nonzero padding in an out-of-matrix slot: offset 1 at row 1 of a
         // 2x2 lands at column 2 (outside).
-        assert!(matches!(
-            DiaMatrix::new(2, 2, vec![1], vec![5.0, 7.0]),
-            Err(FormatError::NonzeroPadding { .. })
-        ));
+        assert_eq!(check(DiaMatrix::new(2, 2, vec![1], vec![5.0, 7.0])), InputCheck::PaddingZero);
         // Offset outside the matrix entirely.
-        assert!(matches!(
-            DiaMatrix::new(2, 2, vec![5], vec![0.0, 0.0]),
-            Err(FormatError::CoordinateOutOfRange { .. })
-        ));
+        assert_eq!(check(DiaMatrix::new(2, 2, vec![5], vec![0.0, 0.0])), InputCheck::IndexBounds);
     }
 }

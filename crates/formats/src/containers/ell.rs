@@ -8,7 +8,8 @@
 
 use super::coo::CooMatrix;
 use super::dense::DenseMatrix;
-use crate::FormatError;
+use super::in_bounds;
+use crate::validate::{check_finite, InputCheck, ValidationError};
 
 /// An ELL matrix.
 #[derive(Debug, Clone, PartialEq)]
@@ -29,66 +30,94 @@ impl EllMatrix {
     /// Builds and validates an ELL matrix.
     ///
     /// # Errors
-    /// Returns [`FormatError`] when any invariant fails.
+    /// Returns the first violated invariant.
     pub fn new(
         nr: usize,
         nc: usize,
         width: usize,
         col: Vec<i64>,
         data: Vec<f64>,
-    ) -> Result<Self, FormatError> {
+    ) -> Result<Self, ValidationError> {
         let m = EllMatrix { nr, nc, width, col, data };
         m.validate()?;
         Ok(m)
     }
 
-    /// Checks slot-array lengths, column bounds, per-row column ordering,
-    /// and zero padding.
+    /// Checks slot-array lengths, then per row: zero padding that trails
+    /// the occupied slots, column bounds, and strictly increasing columns.
     ///
     /// # Errors
     /// Returns the first violated invariant.
-    pub fn validate(&self) -> Result<(), FormatError> {
+    pub fn validate(&self) -> Result<(), ValidationError> {
+        self.check(false)
+    }
+
+    /// [`EllMatrix::validate`]; `finite` adds the input obligation of
+    /// finite data (see [`crate::validate_matrix`]), checked before the
+    /// slots so that a non-finite padding slot is named as such.
+    pub(crate) fn check(&self, finite: bool) -> Result<(), ValidationError> {
         // checked_mul: corrupt fields can push `nr * width` past usize,
         // and a wrapping product must read as a length mismatch, not an
         // arithmetic panic.
-        let expected = self.nr.checked_mul(self.width);
-        if expected != Some(self.col.len()) || self.data.len() != self.col.len() {
-            return Err(FormatError::LengthMismatch {
-                what: "ELL col/data (must be nr * width)",
-                lens: vec![self.col.len(), self.data.len(), expected.unwrap_or(usize::MAX)],
-            });
+        let w = self.width;
+        let expected = self.nr.checked_mul(w).ok_or_else(|| {
+            ValidationError::new(
+                InputCheck::ArrayLengths,
+                format!("ELL nr * width overflows ({} * {w})", self.nr),
+            )
+        })?;
+        if self.col.len() != expected || self.data.len() != expected {
+            return Err(ValidationError::new(
+                InputCheck::ArrayLengths,
+                format!(
+                    "ELL col/data have lengths {}/{}, expected nr * width = {expected}",
+                    self.col.len(),
+                    self.data.len()
+                ),
+            ));
+        }
+        if finite {
+            check_finite(&self.data, "data")?;
         }
         for i in 0..self.nr {
-            let row = &self.col[i * self.width..(i + 1) * self.width];
+            let row = &self.col[i * w..(i + 1) * w];
             let mut seen_pad = false;
-            let mut prev = -1i64;
             for (s, &j) in row.iter().enumerate() {
                 if j < 0 {
                     seen_pad = true;
-                    if self.data[i * self.width + s] != 0.0 {
-                        return Err(FormatError::NonzeroPadding {
-                            what: "ELL padded slot",
-                            row: i,
-                            diag: s,
-                        });
+                    if self.data[i * w + s] != 0.0 {
+                        return Err(ValidationError::new(
+                            InputCheck::PaddingZero,
+                            format!("ELL padded slot (row {i}, slot {s}) holds a nonzero"),
+                        ));
                     }
                     continue;
                 }
                 if seen_pad {
-                    return Err(FormatError::NotSorted {
-                        what: "ELL padding must trail the row",
-                    });
+                    return Err(ValidationError::new(
+                        InputCheck::PaddingZero,
+                        format!("ELL row {i} has an occupied slot {s} after padding"),
+                    ));
                 }
-                if j as usize >= self.nc {
-                    return Err(FormatError::CoordinateOutOfRange {
-                        coords: vec![j],
-                        dims: vec![self.nr, self.nc],
-                    });
+                if !in_bounds(j, self.nc) {
+                    return Err(ValidationError::new(
+                        InputCheck::IndexBounds,
+                        format!("ELL col (row {i}, slot {s}) = {j} outside 0..{}", self.nc),
+                    ));
                 }
-                if s > 0 && row[s - 1] >= 0 && j <= prev {
-                    return Err(FormatError::NotSorted { what: "ELL columns within a row" });
+                // Not after padding, so a slot s > 0 follows an occupied one.
+                if s > 0 && j == row[s - 1] {
+                    return Err(ValidationError::new(
+                        InputCheck::DuplicateCoordinate,
+                        format!("ELL row {i} repeats column {j}"),
+                    ));
                 }
-                prev = j;
+                if s > 0 && j < row[s - 1] {
+                    return Err(ValidationError::new(
+                        InputCheck::Ordering,
+                        format!("ELL row {i} columns not increasing: {} then {j}", row[s - 1]),
+                    ));
+                }
             }
         }
         Ok(())
@@ -210,7 +239,7 @@ mod tests {
             col: vec![-1, 2, 3],
             data: vec![0.0, 1.0, 2.0],
         };
-        assert!(matches!(bad.validate(), Err(FormatError::NotSorted { .. })));
+        assert_eq!(bad.validate().unwrap_err().check, InputCheck::PaddingZero);
     }
 
     #[test]
@@ -222,6 +251,6 @@ mod tests {
             col: vec![1, -1],
             data: vec![1.0, 3.0],
         };
-        assert!(matches!(bad.validate(), Err(FormatError::NonzeroPadding { .. })));
+        assert_eq!(bad.validate().unwrap_err().check, InputCheck::PaddingZero);
     }
 }

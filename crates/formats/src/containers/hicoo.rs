@@ -8,12 +8,13 @@
 //! that builds this layout is exactly what the synthesized COO3D→MCOO3
 //! conversion produces, which is why the paper's comparison is apt.
 
-use spf_codegen::morton::morton_cmp;
+use spf_ir::order::OrderKey;
 
+use super::check_pointer;
 use super::coo::Coo3Tensor;
 use super::dense::DenseMatrix;
 use super::mcoo::MortonCoo3Tensor;
-use crate::FormatError;
+use crate::validate::{check_order, InputCheck, ValidationError};
 
 /// A HiCOO-compressed order-3 tensor.
 #[derive(Debug, Clone, PartialEq)]
@@ -117,47 +118,23 @@ impl HicooTensor {
     ///
     /// # Errors
     /// Returns the first violated invariant.
-    pub fn validate(&self) -> Result<(), FormatError> {
-        if self.bptr.len() != self.nblocks() + 1 {
-            return Err(FormatError::LengthMismatch {
-                what: "HiCOO bptr (must be nblocks + 1)",
-                lens: vec![self.bptr.len(), self.nblocks() + 1],
-            });
-        }
-        if self.bptr.first() != Some(&0)
-            || *self.bptr.last().unwrap_or(&0) != self.nnz() as i64
-        {
-            return Err(FormatError::BadPointerEnds {
-                what: "HiCOO bptr",
-                first: *self.bptr.first().unwrap_or(&-1),
-                last: *self.bptr.last().unwrap_or(&-1),
-                nnz: self.nnz() as i64,
-            });
-        }
-        if self.bptr.windows(2).any(|w| w[0] >= w[1]) {
-            return Err(FormatError::NotMonotonic { what: "HiCOO bptr (blocks non-empty)" });
+    pub fn validate(&self) -> Result<(), ValidationError> {
+        let nb = self.nblocks();
+        check_pointer(&self.bptr, nb, self.nnz(), "HiCOO bptr")?;
+        if let Some(b) = self.bptr.windows(2).position(|w| w[0] == w[1]) {
+            return Err(ValidationError::new(
+                InputCheck::PointerMonotone,
+                format!("HiCOO block {b} is empty"),
+            ));
         }
         let edge = 1u16 << self.block_bits;
-        if self
-            .ei
-            .iter()
-            .chain(&self.ej)
-            .chain(&self.ek)
-            .any(|&e| e >= edge)
-        {
-            return Err(FormatError::CoordinateOutOfRange {
-                coords: vec![edge as i64],
-                dims: vec![edge as usize],
-            });
+        if let Some(&e) = self.ei.iter().chain(&self.ej).chain(&self.ek).find(|&&e| e >= edge) {
+            return Err(ValidationError::new(
+                InputCheck::IndexBounds,
+                format!("HiCOO in-block offset {e} outside 0..{edge}"),
+            ));
         }
-        for b in 1..self.nblocks() {
-            let a = [self.bi[b - 1], self.bj[b - 1], self.bk[b - 1]];
-            let c = [self.bi[b], self.bj[b], self.bk[b]];
-            if morton_cmp(&a, &c) != std::cmp::Ordering::Less {
-                return Err(FormatError::NotSorted { what: "HiCOO block Z-order" });
-            }
-        }
-        Ok(())
+        check_order(&OrderKey::morton(3), nb, |b| [self.bi[b], self.bj[b], self.bk[b]], 3, true)
     }
 
     /// Expands back to a Morton-ordered COO tensor.
@@ -253,10 +230,7 @@ mod tests {
     fn validate_catches_bad_offsets() {
         let mut h = HicooTensor::from_coo3(&tensor(), 2);
         h.ei[0] = 99;
-        assert!(matches!(
-            h.validate(),
-            Err(FormatError::CoordinateOutOfRange { .. })
-        ));
+        assert_eq!(h.validate().unwrap_err().check, InputCheck::IndexBounds);
     }
 
     #[test]
@@ -266,7 +240,7 @@ mod tests {
             h.bi.swap(0, 1);
             h.bj.swap(0, 1);
             h.bk.swap(0, 1);
-            assert!(matches!(h.validate(), Err(FormatError::NotSorted { .. })));
+            assert_eq!(h.validate().unwrap_err().check, InputCheck::Ordering);
         }
     }
 

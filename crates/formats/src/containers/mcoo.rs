@@ -7,10 +7,10 @@
 //! in mode-agnostic tensor kernels.
 
 use spf_codegen::kernels::morton_sort_perm;
-use spf_codegen::morton::morton_cmp;
+use spf_ir::order::OrderKey;
 
 use super::coo::{Coo3Tensor, CooMatrix};
-use crate::FormatError;
+use crate::validate::{check_order, ValidationError};
 
 /// A Morton-ordered COO matrix.
 #[derive(Debug, Clone, PartialEq)]
@@ -20,13 +20,12 @@ pub struct MortonCooMatrix {
 }
 
 impl MortonCooMatrix {
-    /// Wraps a COO matrix after checking the Morton-order universal
-    /// quantifier
-    /// `∀n1, n2 : n1 < n2 ⟺ MORTON(row(n1), col(n1)) < MORTON(row(n2), col(n2))`.
+    /// Wraps a COO matrix after checking it (see
+    /// [`MortonCooMatrix::validate`]).
     ///
     /// # Errors
-    /// Returns [`FormatError::NotSorted`] when the order is violated.
-    pub fn new(coo: CooMatrix) -> Result<Self, FormatError> {
+    /// Returns the first violated invariant.
+    pub fn new(coo: CooMatrix) -> Result<Self, ValidationError> {
         let m = MortonCooMatrix { coo };
         m.validate()?;
         Ok(m)
@@ -36,7 +35,7 @@ impl MortonCooMatrix {
     ///
     /// Uses the precomputed-key Morton sort (codes packed into `u128`
     /// where they fit, position tiebreak), so the result is identical to
-    /// a stable comparison sort by [`morton_cmp`].
+    /// a stable comparison sort by `morton_cmp`.
     pub fn from_coo(coo: &CooMatrix) -> Self {
         let mut sorted = coo.clone();
         let idx = morton_sort_perm(&[&coo.row, &coo.col]);
@@ -44,20 +43,18 @@ impl MortonCooMatrix {
         MortonCooMatrix { coo: sorted }
     }
 
-    /// Checks the Morton ordering invariant.
+    /// Checks the COO structure (see [`CooMatrix::validate`]) and the
+    /// Morton-order universal quantifier
+    /// `∀n1 < n2 : MORTON(row(n1), col(n1)) <= MORTON(row(n2), col(n2))`.
+    /// The container admits repeated coordinates; the `MCOO` descriptor's
+    /// strict order, checked by [`crate::validate_matrix`], does not.
     ///
     /// # Errors
-    /// Returns [`FormatError::NotSorted`] when consecutive nonzeros are
-    /// out of Z-order.
-    pub fn validate(&self) -> Result<(), FormatError> {
-        for n in 1..self.coo.nnz() {
-            let a = [self.coo.row[n - 1], self.coo.col[n - 1]];
-            let b = [self.coo.row[n], self.coo.col[n]];
-            if morton_cmp(&a, &b) == std::cmp::Ordering::Greater {
-                return Err(FormatError::NotSorted { what: "MCOO Morton order" });
-            }
-        }
-        Ok(())
+    /// Returns the first violated invariant.
+    pub fn validate(&self) -> Result<(), ValidationError> {
+        let m = &self.coo;
+        m.validate()?;
+        check_order(&OrderKey::morton(2), m.nnz(), |n| [m.row[n], m.col[n], 0], 2, false)
     }
 
     /// Number of stored nonzeros.
@@ -74,11 +71,12 @@ pub struct MortonCoo3Tensor {
 }
 
 impl MortonCoo3Tensor {
-    /// Wraps a tensor after checking the 3-D Morton order.
+    /// Wraps a tensor after checking it (see
+    /// [`MortonCoo3Tensor::validate`]).
     ///
     /// # Errors
-    /// Returns [`FormatError::NotSorted`] when the order is violated.
-    pub fn new(coo: Coo3Tensor) -> Result<Self, FormatError> {
+    /// Returns the first violated invariant.
+    pub fn new(coo: Coo3Tensor) -> Result<Self, ValidationError> {
         let t = MortonCoo3Tensor { coo };
         t.validate()?;
         Ok(t)
@@ -94,20 +92,15 @@ impl MortonCoo3Tensor {
         MortonCoo3Tensor { coo: sorted }
     }
 
-    /// Checks the Morton ordering invariant.
+    /// Checks the COO3 structure and the non-strict 3-D Morton order
+    /// (see [`MortonCooMatrix::validate`]).
     ///
     /// # Errors
-    /// Returns [`FormatError::NotSorted`] when consecutive nonzeros are
-    /// out of Z-order.
-    pub fn validate(&self) -> Result<(), FormatError> {
-        for n in 1..self.coo.nnz() {
-            let a = [self.coo.i0[n - 1], self.coo.i1[n - 1], self.coo.i2[n - 1]];
-            let b = [self.coo.i0[n], self.coo.i1[n], self.coo.i2[n]];
-            if morton_cmp(&a, &b) == std::cmp::Ordering::Greater {
-                return Err(FormatError::NotSorted { what: "MCOO3 Morton order" });
-            }
-        }
-        Ok(())
+    /// Returns the first violated invariant.
+    pub fn validate(&self) -> Result<(), ValidationError> {
+        let t = &self.coo;
+        t.validate()?;
+        check_order(&OrderKey::morton(3), t.nnz(), |n| [t.i0[n], t.i1[n], t.i2[n]], 3, false)
     }
 
     /// Number of stored nonzeros.
@@ -149,10 +142,10 @@ mod tests {
             vec![1.0, 2.0],
         )
         .unwrap();
-        assert!(matches!(
-            MortonCooMatrix::new(coo),
-            Err(FormatError::NotSorted { .. })
-        ));
+        assert_eq!(
+            MortonCooMatrix::new(coo).unwrap_err().check,
+            crate::InputCheck::Ordering
+        );
     }
 
     #[test]

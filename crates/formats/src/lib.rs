@@ -32,16 +32,13 @@
 
 pub mod containers;
 pub mod descriptors;
-pub mod error;
 pub mod validate;
 
 pub use containers::{
-    AnyMatrix, AnyTensor, BcsrMatrix, Coo3Tensor, CooMatrix, CscMatrix, CsfTensor, CsrMatrix,
-    DenseMatrix, DiaMatrix, EllMatrix, HicooTensor, MatrixRef, MortonCoo3Tensor,
-    MortonCooMatrix, TensorRef,
+    AnyMatrix, AnyTensor, Coo3Tensor, CooMatrix, CscMatrix, CsrMatrix, DenseMatrix, DiaMatrix,
+    EllMatrix, HicooTensor, MatrixRef, MortonCoo3Tensor, MortonCooMatrix, TensorRef,
 };
 pub use descriptors::{
     domain_alloc_size, range_max, FormatDescriptor, FormatKind, ScanInfo, StructuralHasher,
 };
-pub use error::FormatError;
 pub use validate::{validate_matrix, validate_tensor, InputCheck, ValidationError};

@@ -1,5 +1,5 @@
-//! Untrusted-input validation: structural checks of runtime containers
-//! against the *source descriptor's* quantifier obligations.
+//! Untrusted-input validation: a runtime container checked against the
+//! *source descriptor's* quantifier obligations.
 //!
 //! The static plan verifier (`sparse-analyze`) proves a synthesized
 //! inspector correct **under the descriptor's universal quantifiers** —
@@ -9,25 +9,31 @@
 //! every one of them, and the proved-correct inspector then produces
 //! silent garbage or out-of-bounds accesses. This module is the runtime
 //! half of that contract: every obligation the verifier assumed is
-//! checked structurally against the concrete container *before binding*,
-//! and violations come back as a typed [`ValidationError`] naming the
-//! failed check.
+//! checked against the concrete container *before binding*, and
+//! violations come back as a typed [`ValidationError`] naming the failed
+//! check.
 //!
-//! Checks are dispatched on the descriptor's [`FormatKind`] plus its
-//! [`OrderKey`], never on the container alone, so the same `CooMatrix`
-//! is accepted under an unordered `COO` descriptor but rejected under
-//! `SCOO` when its nonzeros are out of row-major order.
+//! The obligations come from two places, each written once:
+//!
+//! * the container's own `validate()` states its structure (lengths,
+//!   pointer shape, index bounds, intra-segment ordering, padding) — the
+//!   same check its constructors run on what they build;
+//! * this module adds what depends on the descriptor rather than the
+//!   container: the [`OrderKey`] a coordinate descriptor claims (so the
+//!   same `CooMatrix` is accepted under an unordered `COO` descriptor but
+//!   rejected under `SCOO` when out of row-major order), and finite
+//!   values.
 //!
 //! Validation is `O(nnz)` with small constants (single pass per array,
-//! no allocation) — measured under 5% of the cost of the conversions it
-//! guards (see EXPERIMENTS.md).
+//! no allocation); EXPERIMENTS.md and `BENCH_E2E.json` give its cost per
+//! source format.
+
+use std::cmp::Ordering;
 
 use spf_codegen::morton::morton_cmp;
 use spf_ir::order::{Comparator, OrderKey};
 
-use crate::containers::{
-    Coo3Tensor, CooMatrix, CscMatrix, CsrMatrix, DiaMatrix, EllMatrix, MatrixRef, TensorRef,
-};
+use crate::containers::{in_bounds, Coo3Tensor, CooMatrix, MatrixRef, TensorRef};
 use crate::descriptors::FormatDescriptor;
 use crate::FormatKind;
 
@@ -108,7 +114,7 @@ pub struct ValidationError {
 }
 
 impl ValidationError {
-    fn new(check: InputCheck, detail: impl Into<String>) -> Self {
+    pub(crate) fn new(check: InputCheck, detail: impl Into<String>) -> Self {
         ValidationError { check, detail: detail.into() }
     }
 }
@@ -145,10 +151,18 @@ pub fn validate_matrix(
             FormatKind::Coo | FormatKind::SortedCoo | FormatKind::MortonCoo,
             MatrixRef::MortonCoo(mc),
         ) => validate_coo_like(desc, &mc.coo),
-        (FormatKind::Csr, MatrixRef::Csr(c)) => validate_csr(c),
-        (FormatKind::Csc, MatrixRef::Csc(c)) => validate_csc(c),
-        (FormatKind::Dia, MatrixRef::Dia(d)) => validate_dia(d),
-        (FormatKind::Ell, MatrixRef::Ell(e)) => validate_ell(e),
+        (FormatKind::Csr, MatrixRef::Csr(c)) => {
+            c.validate()?;
+            check_finite(&c.val, "val")
+        }
+        (FormatKind::Csc, MatrixRef::Csc(c)) => {
+            c.validate()?;
+            check_finite(&c.val, "val")
+        }
+        // Slot layouts check finiteness between their shape and their
+        // slots (see `DiaMatrix::check`).
+        (FormatKind::Dia, MatrixRef::Dia(d)) => d.check(true),
+        (FormatKind::Ell, MatrixRef::Ell(e)) => e.check(true),
         // Kind/container mismatch or unsupported kind: the bind layer
         // owns that error.
         _ => Ok(()),
@@ -175,12 +189,7 @@ pub fn validate_tensor(
     }
 }
 
-/// `0 <= v < extent`, compared in `u64` so absurd extents never wrap.
-fn in_bounds(v: i64, extent: usize) -> bool {
-    v >= 0 && (v as u64) < extent as u64
-}
-
-fn check_finite(vals: &[f64], what: &str) -> Result<(), ValidationError> {
+pub(crate) fn check_finite(vals: &[f64], what: &str) -> Result<(), ValidationError> {
     match vals.iter().position(|v| !v.is_finite()) {
         None => Ok(()),
         Some(p) => Err(ValidationError::new(
@@ -202,18 +211,18 @@ fn eval_key_dim(coeffs: &[i64], constant: i64, coords: &[i64]) -> i128 {
 
 /// Compares two nonzeros' dense coordinates under `key`. Returns `None`
 /// for user-defined comparators, which cannot be evaluated structurally.
-fn key_cmp(key: &OrderKey, a: &[i64], b: &[i64]) -> Option<std::cmp::Ordering> {
+fn key_cmp(key: &OrderKey, a: &[i64], b: &[i64]) -> Option<Ordering> {
     match &key.comparator {
         Comparator::Lexicographic => {
             for dim in &key.dims {
                 let ka = eval_key_dim(&dim.coeffs, dim.constant, a);
                 let kb = eval_key_dim(&dim.coeffs, dim.constant, b);
                 match ka.cmp(&kb) {
-                    std::cmp::Ordering::Equal => continue,
+                    Ordering::Equal => continue,
                     other => return Some(other),
                 }
             }
-            Some(std::cmp::Ordering::Equal)
+            Some(Ordering::Equal)
         }
         Comparator::Morton => {
             // Catalog Morton keys are identity coordinates; evaluate the
@@ -264,51 +273,62 @@ fn identity_dims(key: &OrderKey) -> Option<Vec<usize>> {
 /// `∀ n1 < n2 : key(n1) < key(n2)` over adjacent nonzeros.
 ///
 /// `coords(n)` yields the dense coordinates of nonzero `n` (already
-/// bounds-checked). A strict quantifier also forbids equal keys over
-/// *identical coordinates* — a duplicate nonzero.
-fn check_order(
+/// bounds-checked). A `strict` quantifier — every descriptor's — also
+/// forbids equal keys over *identical coordinates*, a duplicate nonzero;
+/// the Morton containers check the non-strict order, which admits them.
+pub(crate) fn check_order(
     key: &OrderKey,
     nnz: usize,
     coords: impl Fn(usize) -> [i64; 3],
     rank: usize,
+    strict: bool,
 ) -> Result<(), ValidationError> {
-    if matches!(key.comparator, Comparator::UserFn(_)) {
-        return Ok(()); // user-defined comparator: not checkable
+    // The comparison is chosen once, outside the scan. Identity keys
+    // (every catalog key) compare a handful of `i64`s.
+    match (&key.comparator, identity_dims(key)) {
+        (Comparator::UserFn(_), _) => Ok(()), // user-defined: not checkable
+        (Comparator::Lexicographic, Some(dims)) => {
+            scan_order(key, nnz, coords, rank, strict, |a, b| {
+                let differs = dims.iter().map(|&p| a[p].cmp(&b[p])).find(|o| o.is_ne());
+                Some(differs.unwrap_or(Ordering::Equal))
+            })
+        }
+        (Comparator::Morton, Some(dims)) => {
+            scan_order(key, nnz, coords, rank, strict, |a, b| {
+                // Gather the key coordinates on the stack; `morton_cmp`
+                // takes slices, so no per-pair allocation.
+                let (mut ka, mut kb) = ([0i64; 3], [0i64; 3]);
+                for (t, &p) in dims.iter().enumerate() {
+                    (ka[t], kb[t]) = (a[p], b[p]);
+                }
+                Some(morton_cmp(&ka[..dims.len()], &kb[..dims.len()]))
+            })
+        }
+        _ => scan_order(key, nnz, coords, rank, strict, |a, b| {
+            key_cmp(key, &a[..rank], &b[..rank])
+        }),
     }
+}
+
+/// The adjacent-pair loop of [`check_order`] under one comparison;
+/// `cmp` returning `None` ends the check (not evaluable).
+fn scan_order(
+    key: &OrderKey,
+    nnz: usize,
+    coords: impl Fn(usize) -> [i64; 3],
+    rank: usize,
+    strict: bool,
+    cmp: impl Fn(&[i64; 3], &[i64; 3]) -> Option<Ordering>,
+) -> Result<(), ValidationError> {
     if nnz < 2 {
         return Ok(());
     }
-    let fast = identity_dims(key);
     let mut prev = coords(0);
     for n in 1..nnz {
         let cur = coords(n);
-        let ord = match (&key.comparator, &fast) {
-            (Comparator::Lexicographic, Some(dims)) => {
-                let mut o = std::cmp::Ordering::Equal;
-                for &p in dims {
-                    o = prev[p].cmp(&cur[p]);
-                    if o != std::cmp::Ordering::Equal {
-                        break;
-                    }
-                }
-                Some(o)
-            }
-            (Comparator::Morton, Some(dims)) => {
-                // Gather the key coordinates on the stack; `morton_cmp`
-                // takes slices, so no per-pair allocation.
-                let mut ka = [0i64; 3];
-                let mut kb = [0i64; 3];
-                for (t, &p) in dims.iter().enumerate() {
-                    ka[t] = prev[p];
-                    kb[t] = cur[p];
-                }
-                Some(morton_cmp(&ka[..dims.len()], &kb[..dims.len()]))
-            }
-            _ => key_cmp(key, &prev[..rank], &cur[..rank]),
-        };
-        match ord {
+        match cmp(&prev, &cur) {
             None => return Ok(()),
-            Some(std::cmp::Ordering::Greater) => {
+            Some(Ordering::Greater) => {
                 return Err(ValidationError::new(
                     InputCheck::Ordering,
                     format!(
@@ -321,7 +341,7 @@ fn check_order(
                     ),
                 ));
             }
-            Some(std::cmp::Ordering::Equal) if prev[..rank] == cur[..rank] => {
+            Some(Ordering::Equal) if strict && prev[..rank] == cur[..rank] => {
                 return Err(ValidationError::new(
                     InputCheck::DuplicateCoordinate,
                     format!(
@@ -343,22 +363,11 @@ fn validate_coo_like(
     desc: &FormatDescriptor,
     m: &CooMatrix,
 ) -> Result<(), ValidationError> {
-    if m.row.len() != m.col.len() || m.row.len() != m.val.len() {
-        return Err(ValidationError::new(
-            InputCheck::ArrayLengths,
-            format!(
-                "COO row/col/val lengths differ: {}/{}/{}",
-                m.row.len(),
-                m.col.len(),
-                m.val.len()
-            ),
-        ));
-    }
     // Fast path for the catalog's coordinate descriptors: unordered, or
     // an identity lexicographic key over both coordinates. One fused,
     // branch-light sweep accumulates a single validity flag (`&`, not
-    // `&&`, so the loop vectorizes); the precise per-check loops below
-    // run only when something failed, to locate and describe it.
+    // `&&`, so the loop vectorizes); the precise checks below run only
+    // when something failed, to locate and describe it.
     let fast: Option<Option<(usize, usize)>> = match &desc.order {
         None => Some(None),
         Some(k) if matches!(k.comparator, Comparator::Lexicographic) => {
@@ -374,8 +383,11 @@ fn validate_coo_like(
         }
         _ => None,
     };
+    let (row, col, val) = (&m.row[..], &m.col[..], &m.val[..]);
+    if row.len() != col.len() || row.len() != val.len() {
+        return m.validate(); // names the length mismatch
+    }
     if let Some(order2) = fast {
-        let (row, col, val) = (&m.row[..], &m.col[..], &m.val[..]);
         let mut ok = true;
         for ((&i, &j), &v) in row.iter().zip(col).zip(val) {
             ok &= in_bounds(i, m.nr) & in_bounds(j, m.nc) & v.is_finite();
@@ -391,17 +403,10 @@ fn validate_coo_like(
             return Ok(());
         }
     }
-    for (n, (&i, &j)) in m.row.iter().zip(&m.col).enumerate() {
-        if !in_bounds(i, m.nr) || !in_bounds(j, m.nc) {
-            return Err(ValidationError::new(
-                InputCheck::IndexBounds,
-                format!("nonzero {n} at ({i}, {j}) outside {}x{}", m.nr, m.nc),
-            ));
-        }
-    }
-    check_finite(&m.val, "val")?;
+    m.validate()?;
+    check_finite(val, "val")?;
     if let Some(key) = &desc.order {
-        check_order(key, m.nnz(), |n| [m.row[n], m.col[n], 0], 2)?;
+        check_order(key, m.nnz(), |n| [row[n], col[n], 0], 2, true)?;
     }
     Ok(())
 }
@@ -410,253 +415,10 @@ fn validate_coo3_like(
     desc: &FormatDescriptor,
     t: &Coo3Tensor,
 ) -> Result<(), ValidationError> {
-    if t.i0.len() != t.i1.len() || t.i0.len() != t.i2.len() || t.i0.len() != t.val.len() {
-        return Err(ValidationError::new(
-            InputCheck::ArrayLengths,
-            format!(
-                "COO3 coordinate/val lengths differ: {}/{}/{}/{}",
-                t.i0.len(),
-                t.i1.len(),
-                t.i2.len(),
-                t.val.len()
-            ),
-        ));
-    }
-    for n in 0..t.i0.len() {
-        let (a, b, c) = (t.i0[n], t.i1[n], t.i2[n]);
-        if !in_bounds(a, t.nr) || !in_bounds(b, t.nc) || !in_bounds(c, t.nz) {
-            return Err(ValidationError::new(
-                InputCheck::IndexBounds,
-                format!(
-                    "nonzero {n} at ({a}, {b}, {c}) outside {}x{}x{}",
-                    t.nr, t.nc, t.nz
-                ),
-            ));
-        }
-    }
+    t.validate()?;
     check_finite(&t.val, "val")?;
     if let Some(key) = &desc.order {
-        check_order(key, t.nnz(), |n| [t.i0[n], t.i1[n], t.i2[n]], 3)?;
-    }
-    Ok(())
-}
-
-/// Shared pointer-array obligations: length `n_major + 1`, ends `0..=nnz`,
-/// non-decreasing. Returns the windows as `(start, end)` pairs is left to
-/// the caller; this only establishes that slicing by them is safe.
-fn validate_pointer(
-    ptr: &[i64],
-    n_major: usize,
-    nnz: usize,
-    what: &str,
-) -> Result<(), ValidationError> {
-    if ptr.len() != n_major + 1 {
-        return Err(ValidationError::new(
-            InputCheck::ArrayLengths,
-            format!("{what} has length {}, expected {}", ptr.len(), n_major + 1),
-        ));
-    }
-    let first = ptr[0];
-    let last = ptr[ptr.len() - 1];
-    if first != 0 || last != nnz as i64 {
-        return Err(ValidationError::new(
-            InputCheck::PointerEnds,
-            format!("{what} spans {first}..={last}, expected 0..={nnz}"),
-        ));
-    }
-    if let Some(p) = ptr.windows(2).position(|w| w[0] > w[1]) {
-        return Err(ValidationError::new(
-            InputCheck::PointerMonotone,
-            format!(
-                "{what}[{p}] = {} exceeds {what}[{}] = {}",
-                ptr[p],
-                p + 1,
-                ptr[p + 1]
-            ),
-        ));
-    }
-    Ok(())
-}
-
-/// Shared compressed-format obligations for the minor index array:
-/// bounds, strict intra-segment ordering, no duplicates. The pointer is
-/// already validated, so the window slicing is in-bounds.
-fn validate_compressed_minor(
-    ptr: &[i64],
-    idx: &[i64],
-    extent: usize,
-    what: &str,
-) -> Result<(), ValidationError> {
-    for (n, &j) in idx.iter().enumerate() {
-        if !in_bounds(j, extent) {
-            return Err(ValidationError::new(
-                InputCheck::IndexBounds,
-                format!("{what}[{n}] = {j} outside 0..{extent}"),
-            ));
-        }
-    }
-    for w in 0..ptr.len() - 1 {
-        let (s, e) = (ptr[w] as usize, ptr[w + 1] as usize);
-        for n in s + 1..e {
-            if idx[n] == idx[n - 1] {
-                return Err(ValidationError::new(
-                    InputCheck::DuplicateCoordinate,
-                    format!("{what} repeats index {} inside segment {w}", idx[n]),
-                ));
-            }
-            if idx[n] < idx[n - 1] {
-                return Err(ValidationError::new(
-                    InputCheck::Ordering,
-                    format!(
-                        "{what} not increasing inside segment {w}: {} then {}",
-                        idx[n - 1],
-                        idx[n]
-                    ),
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
-fn validate_csr(m: &CsrMatrix) -> Result<(), ValidationError> {
-    if m.col.len() != m.val.len() {
-        return Err(ValidationError::new(
-            InputCheck::ArrayLengths,
-            format!("CSR col/val lengths differ: {}/{}", m.col.len(), m.val.len()),
-        ));
-    }
-    validate_pointer(&m.rowptr, m.nr, m.val.len(), "CSR rowptr")?;
-    validate_compressed_minor(&m.rowptr, &m.col, m.nc, "CSR col")?;
-    check_finite(&m.val, "val")
-}
-
-fn validate_csc(m: &CscMatrix) -> Result<(), ValidationError> {
-    if m.row.len() != m.val.len() {
-        return Err(ValidationError::new(
-            InputCheck::ArrayLengths,
-            format!("CSC row/val lengths differ: {}/{}", m.row.len(), m.val.len()),
-        ));
-    }
-    validate_pointer(&m.colptr, m.nc, m.val.len(), "CSC colptr")?;
-    validate_compressed_minor(&m.colptr, &m.row, m.nr, "CSC row")?;
-    check_finite(&m.val, "val")
-}
-
-fn validate_dia(m: &DiaMatrix) -> Result<(), ValidationError> {
-    let nd = m.off.len();
-    let expected = nd.checked_mul(m.nr).ok_or_else(|| {
-        ValidationError::new(
-            InputCheck::ArrayLengths,
-            format!("DIA nd * nr overflows ({nd} * {})", m.nr),
-        )
-    })?;
-    if m.data.len() != expected {
-        return Err(ValidationError::new(
-            InputCheck::ArrayLengths,
-            format!("DIA data has length {}, expected nd * nr = {expected}", m.data.len()),
-        ));
-    }
-    for w in 1..nd {
-        if m.off[w] == m.off[w - 1] {
-            return Err(ValidationError::new(
-                InputCheck::DuplicateCoordinate,
-                format!("DIA offset {} appears twice", m.off[w]),
-            ));
-        }
-        if m.off[w] < m.off[w - 1] {
-            return Err(ValidationError::new(
-                InputCheck::Ordering,
-                format!("DIA offsets not increasing: {} then {}", m.off[w - 1], m.off[w]),
-            ));
-        }
-    }
-    for (d, &o) in m.off.iter().enumerate() {
-        // Declared range of `off` in Table 1: -NR < o < NC.
-        if o <= -(m.nr.min(i64::MAX as usize) as i64) || o >= m.nc as i64 {
-            return Err(ValidationError::new(
-                InputCheck::IndexBounds,
-                format!("DIA off[{d}] = {o} outside -{} < o < {}", m.nr, m.nc),
-            ));
-        }
-    }
-    check_finite(&m.data, "data")?;
-    for i in 0..m.nr {
-        for (d, &o) in m.off.iter().enumerate() {
-            let j = i as i64 + o;
-            if (j < 0 || j >= m.nc as i64) && m.data[i * nd + d] != 0.0 {
-                return Err(ValidationError::new(
-                    InputCheck::PaddingZero,
-                    format!("DIA out-of-matrix slot (row {i}, diagonal {d}) holds a nonzero"),
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
-fn validate_ell(m: &EllMatrix) -> Result<(), ValidationError> {
-    let expected = m.nr.checked_mul(m.width).ok_or_else(|| {
-        ValidationError::new(
-            InputCheck::ArrayLengths,
-            format!("ELL nr * width overflows ({} * {})", m.nr, m.width),
-        )
-    })?;
-    if m.col.len() != expected || m.data.len() != expected {
-        return Err(ValidationError::new(
-            InputCheck::ArrayLengths,
-            format!(
-                "ELL col/data have lengths {}/{}, expected nr * width = {expected}",
-                m.col.len(),
-                m.data.len()
-            ),
-        ));
-    }
-    check_finite(&m.data, "data")?;
-    for i in 0..m.nr {
-        let row = &m.col[i * m.width..(i + 1) * m.width];
-        let mut seen_pad = false;
-        for (s, &j) in row.iter().enumerate() {
-            if j < 0 {
-                seen_pad = true;
-                if m.data[i * m.width + s] != 0.0 {
-                    return Err(ValidationError::new(
-                        InputCheck::PaddingZero,
-                        format!("ELL padded slot (row {i}, slot {s}) holds a nonzero"),
-                    ));
-                }
-                continue;
-            }
-            if seen_pad {
-                return Err(ValidationError::new(
-                    InputCheck::PaddingZero,
-                    format!("ELL row {i} has an occupied slot {s} after padding"),
-                ));
-            }
-            if !in_bounds(j, m.nc) {
-                return Err(ValidationError::new(
-                    InputCheck::IndexBounds,
-                    format!("ELL col (row {i}, slot {s}) = {j} outside 0..{}", m.nc),
-                ));
-            }
-            if s > 0 && row[s - 1] >= 0 {
-                if j == row[s - 1] {
-                    return Err(ValidationError::new(
-                        InputCheck::DuplicateCoordinate,
-                        format!("ELL row {i} repeats column {j}"),
-                    ));
-                }
-                if j < row[s - 1] {
-                    return Err(ValidationError::new(
-                        InputCheck::Ordering,
-                        format!(
-                            "ELL row {i} columns not increasing: {} then {j}",
-                            row[s - 1]
-                        ),
-                    ));
-                }
-            }
-        }
+        check_order(key, t.nnz(), |n| [t.i0[n], t.i1[n], t.i2[n]], 3, true)?;
     }
     Ok(())
 }
@@ -664,8 +426,8 @@ fn validate_ell(m: &EllMatrix) -> Result<(), ValidationError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::containers::{CscMatrix, CsrMatrix, DiaMatrix, EllMatrix, MortonCooMatrix};
     use crate::descriptors;
-    use crate::containers::MortonCooMatrix;
 
     fn coo_sorted() -> CooMatrix {
         CooMatrix::from_triplets(

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use sparse_formats::{
-    BcsrMatrix, CooMatrix, CscMatrix, CsrMatrix, DiaMatrix, EllMatrix, MortonCooMatrix,
+    CooMatrix, CscMatrix, CsrMatrix, DiaMatrix, EllMatrix, MortonCooMatrix,
 };
 
 fn arb_coo() -> impl Strategy<Value = CooMatrix> {
@@ -60,13 +60,6 @@ proptest! {
     }
 
     #[test]
-    fn bcsr_round_trip_and_validate(coo in arb_coo(), bh in 1usize..4, bw in 1usize..4) {
-        let b = BcsrMatrix::from_coo(&coo, bh, bw);
-        b.validate().unwrap();
-        prop_assert_eq!(b.to_dense(), coo.to_dense());
-    }
-
-    #[test]
     fn mcoo_is_a_permutation(coo in arb_coo()) {
         let m = MortonCooMatrix::from_coo(&coo);
         m.validate().unwrap();
@@ -86,7 +79,6 @@ proptest! {
         prop_assert!(close(CscMatrix::from_coo(&coo).spmv(&x)));
         prop_assert!(close(DiaMatrix::from_coo(&coo).spmv(&x)));
         prop_assert!(close(EllMatrix::from_coo(&coo).spmv(&x)));
-        prop_assert!(close(BcsrMatrix::from_coo(&coo, 2, 2).spmv(&x)));
     }
 
     /// Morton comparison is a strict weak ordering consistent with the
@@ -131,17 +123,5 @@ proptest! {
         prop_assert_eq!(h.to_coo3(), MortonCoo3Tensor::from_coo3(&t).coo);
         let x: Vec<f64> = (0..t.nz).map(|k| (k % 3) as f64).collect();
         prop_assert_eq!(h.ttv_mode2(&x), t.ttv_mode2(&x));
-    }
-
-    #[test]
-    fn csf_round_trip_and_ttv(t in arb_coo3()) {
-        use sparse_formats::CsfTensor;
-        let csf = CsfTensor::from_coo3(&t);
-        csf.validate().unwrap();
-        let mut want = t.clone();
-        want.sort_by(|a, b| a.cmp(b));
-        prop_assert_eq!(csf.to_coo3(), want);
-        let x: Vec<f64> = (0..t.nz).map(|k| (k % 4) as f64 - 1.0).collect();
-        prop_assert_eq!(csf.ttv_mode2(&x), t.ttv_mode2(&x));
     }
 }

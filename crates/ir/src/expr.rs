@@ -298,11 +298,6 @@ impl LinExpr {
         })
     }
 
-    /// Returns `true` if the expression mentions any UF call.
-    pub fn has_uf(&self) -> bool {
-        self.terms.iter().any(|(_, a)| matches!(a, Atom::Uf(_)))
-    }
-
     /// Returns `true` if the expression mentions a UF with the given name
     /// (at any nesting depth).
     pub fn mentions_uf(&self, name: &str) -> bool {

@@ -26,6 +26,10 @@ cargo clippy -q -p sparse-engine -p sparse-formats --lib
 echo "==> fault-injection suite (zero-panic execution contract)"
 cargo test -q -p sparse-engine --test fault_injection
 cargo test -q -p sparse-matgen corrupt
+# The one invariant layer the sweeps rest on: the containers' validate(),
+# the descriptor checks in validate.rs, and the agreement table that
+# pins constructors and validate_matrix/validate_tensor to the same check.
+cargo test -q -p sparse-formats
 
 echo "==> observability suite (obs crate + span/counter/exposition contracts)"
 # The sparse-obs unit tests (ring overflow accounting, histogram bucket
